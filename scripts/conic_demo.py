@@ -5,7 +5,7 @@ build, dual, center, degree-1 certificates, C(A), classification, geometry."""
 from ncconic.cmap import compute_C, delta, dual_of
 from ncconic.elements import center_degree, find_normal_degree1
 from ncconic.findim import classify, is_frobenius
-from ncconic.freealg import Ambient, NcPoly
+from ncconic.freealg import Ambient
 from ncconic.galgebra import Presentation, build
 from ncconic.geometry import k_matrix, minors_ideal, sigma_at, solve_projective
 from ncconic.presfile import parse_poly, print_poly
@@ -34,7 +34,7 @@ def main():
         kind = "central" if c.central else "normal"
         print(f"  degree-1 {kind} element {print_poly(c.w)}: regular = {c.regular}")
 
-    res = compute_C(A, split=(Presentation(amb, rels[:-1]), rels[-1]))
+    res = compute_C(A, split=(Presentation(amb, rels[:-1]), rels[-1]), search=search)
     frob, _ = is_frobenius(res.algebra)
     print(f"C(A) via {res.path}: dim {res.algebra.dim}, frobenius = {frob}")
     print("class:", classify(res.algebra))

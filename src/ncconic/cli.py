@@ -33,9 +33,20 @@ class CheckFailure(Exception):
     pass
 
 
-def _default_maxdeg() -> int:
-    v = os.environ.get("NCCONIC_MAX_DEG")
-    return int(v) if v else 6
+class UsageError(Exception):
+    pass
+
+
+def _truncation(text: str) -> int:
+    """A --max-deg or NCCONIC_MAX_DEG value: an integer of at least 2.  Raises
+    UsageError, which argparse passes through, for a one-line message."""
+    try:
+        d = int(text)
+    except ValueError:
+        d = None
+    if d is None or d < 2:
+        raise UsageError(f"truncation degree must be an integer >= 2 (got {text!r})")
+    return d
 
 
 def _load(path: str) -> PresentationFile:
@@ -212,7 +223,9 @@ def make_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         if file_arg:
             sp.add_argument("file")
-        sp.add_argument("--max-deg", type=int, default=_default_maxdeg())
+        # a string default goes through type= as well, which checks the environment
+        default = os.environ.get("NCCONIC_MAX_DEG") or "6"
+        sp.add_argument("--max-deg", type=_truncation, default=default)
         for k, v in extra.items():
             sp.add_argument(k, **v)
         sp.set_defaults(fn=fn)
@@ -244,10 +257,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args, out)
     except PresSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
+        return 2
+    except dataset.NoMatchingRows as e:
+        print(f"usage error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

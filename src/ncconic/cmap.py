@@ -19,7 +19,7 @@ from .elements import (
     regularity_check,
 )
 from .findim import FiniteAlgebra
-from .freealg import MonomialOrder, NcPoly
+from .freealg import NcPoly
 from .galgebra import GradedAlgebra, Presentation, build
 from .homog import (
     RelationSequence,
@@ -48,14 +48,6 @@ def dual_of(A: GradedAlgebra, D: int | None = None) -> GradedAlgebra:
     return build(quadratic_dual(q).presentation, D or max(4, A.rs.truncation), A.rs.order)
 
 
-def _pick_certificate(search: Degree1Search, order: MonomialOrder) -> NormalCertificate | None:
-    regular = search.regular()
-    if not regular:
-        return None
-    regular.sort(key=lambda c: (not c.central, order.key(c.w.leading(order)[0])))
-    return regular[0]
-
-
 @dataclass
 class CResult:
     algebra: FiniteAlgebra
@@ -66,21 +58,23 @@ class CResult:
 def compute_C(
     A: GradedAlgebra,
     split: tuple[Presentation, NcPoly] | None = None,
-    dual: GradedAlgebra | None = None,
+    search: Degree1Search | None = None,
 ) -> CResult:
     """C(A) = A^![(f^!)^{-1}]_0 as explicit structure constants.
 
     split, when given, is (quantum plane presentation S, extra relation f)
-    with A = S + (f); it enables the localization fallback."""
+    with A = S + (f); it enables the localization fallback.  search, when
+    given, is the degree-1 search already run on the dual of A."""
     if A.dim(1) != 3:
         raise ValueError("compute_C needs dim A_1 = 3")
-    if dual is None:
-        dual = dual_of(A)
+    dual = search.algebra if search is not None else dual_of(A)
     if dual.truncation < 4:
         raise ValueError("dual must be built to degree >= 4")
-    search = find_normal_degree1(dual)
-    cert = _pick_certificate(search, dual.rs.order)
-    if cert is not None:
+    if search is None:
+        search = find_normal_degree1(dual)
+    preferred = search.preferred()
+    if preferred:
+        cert = preferred[0]
         return CResult(dehomogenize_algebra(dual, cert), f"dehomogenize({cert.w})", cert)
     if split is None:
         raise NoRegularCertificate(
@@ -118,21 +112,16 @@ def nabla(S: GradedAlgebra, F: RelationSequence, D: int = 6) -> GradedAlgebra:
 class DeltaResult:
     algebra: FiniteAlgebra
     certificate: NormalCertificate
-    dual: GradedAlgebra
 
 
-def delta(A: GradedAlgebra, dual: GradedAlgebra | None = None) -> DeltaResult:
+def delta(A: GradedAlgebra) -> DeltaResult:
     """D_z(A^!) at a central regular degree-1 element of the dual."""
-    if dual is None:
-        dual = dual_of(A)
-    search = find_normal_degree1(dual)
-    central = search.central_regular()
-    if not central:
+    search = find_normal_degree1(dual_of(A))
+    preferred = search.preferred()
+    if not preferred or not preferred[0].central:
         raise NoCentralCertificate(
             f"no central regular degree-1 element (complete={search.complete}, "
             f"residue={search.residue})"
         )
-    order = dual.rs.order
-    central.sort(key=lambda c: order.key(c.w.leading(order)[0]))
-    cert = central[0]
-    return DeltaResult(dehomogenize_algebra(dual, cert), cert, dual)
+    cert = preferred[0]
+    return DeltaResult(dehomogenize_algebra(search.algebra, cert), cert)

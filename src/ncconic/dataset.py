@@ -13,10 +13,17 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field
 
-from .elements import center_degree, find_normal_degree1, normalize_check, regularity_check
-from .findim import FiniteAlgebra, classify, from_presentation, is_frobenius
-from .freealg import Ambient, MonomialOrder, NcPoly
-from .galgebra import GradedAlgebra, Presentation, build
+from .elements import (
+    Degree1Search,
+    center_degree,
+    central_degree1_search,
+    find_normal_degree1,
+    normalize_check,
+    regularity_check,
+)
+from .findim import classify, from_presentation, is_frobenius
+from .freealg import Ambient, NcPoly, dehomogenize_poly, homogenize_poly
+from .galgebra import Presentation, build
 from .geometry import (
     CommPoly,
     k_matrix,
@@ -26,11 +33,16 @@ from .geometry import (
     solve_projective,
 )
 from .homog import RelationSequence, is_strongly_regular_normal, twist_presentation
-from .cmap import compute_C, delta, nabla
-from .linalg import Rows, coords_in_basis, rank, solve_linear, span_equal
+from .cmap import compute_C, delta, dual_of, nabla
+from .linalg import complete_to_basis, coords_in_basis, kernel_basis, rank, span_equal
 from .presfile import PresSyntaxError, parse_field, parse_poly
-from .quadratic import QuadraticPresentation, koszul_series_check, quad_vector, quadratic_dual
-from .scalars import FieldSpec, Scalar, one, zero
+from .quadratic import koszul_series_check, quad1_vector, quad_vector
+from .scalars import FieldSpec, Scalar, zero
+
+
+class NoMatchingRows(Exception):
+    pass
+
 
 CONIC_TABLES = {"5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15"}
 
@@ -215,7 +227,7 @@ def verify_conic_row(row: TableRow) -> list[CheckResult]:
     gens = [NcPoly.generator(amb, i) for i in range(amb.n)]
     central = all(S_alg.nf(g * f - f * g).is_zero() for g in gens)
     results.append(_res(row, "f_central_in_S", central))
-    dual = build(quadratic_dual(QuadraticPresentation(A.presentation)).presentation, 6)
+    dual = dual_of(A)
     results.append(_res(row, "hilbert_dual", dual.dims[:7] == H_DUAL, f"{dual.dims[:7]}"))
     results.append(_res(row, "koszul_identity", koszul_series_check(A, dual, 6)))
 
@@ -256,8 +268,6 @@ def verify_conic_row(row: TableRow) -> list[CheckResult]:
                 )
             else:
                 # centrality is linear: the center route decides directly
-                from .elements import central_degree1_search
-
                 csearch = central_degree1_search(dual)
                 hits = csearch.central_regular()
                 if csearch.complete:
@@ -294,7 +304,7 @@ def verify_conic_row(row: TableRow) -> list[CheckResult]:
     element_check("rz", row.expect1("rz"))
 
     try:
-        res = compute_C(A, split=(S_pres, f), dual=dual)
+        res = compute_C(A, split=(S_pres, f), search=search)
         results.append(_res(row, "C_dim4", res.algebra.dim == 4, f"dim {res.algebra.dim}"))
         frob, _ = is_frobenius(res.algebra)
         results.append(_res(row, "C_frobenius", frob))
@@ -306,7 +316,7 @@ def verify_conic_row(row: TableRow) -> list[CheckResult]:
     rz = row.expect1("rz")
     if rz and rz not in ("EMPTY", "STAR"):
         try:
-            ok = rehomogenization_span_identity(dual)
+            ok = rehomogenization_span_identity(search)
             results.append(_res(row, "rehomogenize_dual_span", ok))
         except Exception as e:
             results.append(_res(row, "rehomogenize_dual_span", False, f"{type(e).__name__}: {e}"))
@@ -322,44 +332,21 @@ def verify_conic_row(row: TableRow) -> list[CheckResult]:
     return results
 
 
-def rehomogenization_span_identity(dual: GradedAlgebra) -> bool:
+def rehomogenization_span_identity(search: Degree1Search) -> bool:
     """H^z(D_z(A^!)) has the same relation span as A^!: transform so the
-    central regular degree-1 element is the last coordinate, dehomogenize the
-    stored relations there, homogenize back and compare quadratic spans."""
-    from .freealg import dehomogenize_poly, homogenize_poly
-
-    search = find_normal_degree1(dual)
-    central = search.central_regular()
-    if not central:
+    central regular degree-1 element found by the search of A^! is the last
+    coordinate, dehomogenize the stored relations there, homogenize back and
+    compare quadratic spans."""
+    preferred = search.preferred()
+    if not preferred or not preferred[0].central:
         raise ValueError("no central regular degree-1 element")
-    order = dual.rs.order
-    central.sort(key=lambda c: order.key(c.w.leading(order)[0]))
-    w = central[0].w
+    dual = search.algebra
     amb = dual.ambient
     spec = amb.spec
     n = amb.n
-    wv = [zero(spec)] * n
-    for word, c in w.terms.items():
-        wv[word[0]] = c
-    basis_rows: Rows = []
-    for k in range(n):
-        e = [zero(spec)] * n
-        e[k] = one(spec)
-        if rank(basis_rows + [e] + [wv], spec) == len(basis_rows) + 2:
-            basis_rows.append(e)
-        if len(basis_rows) == n - 1:
-            break
-    B = basis_rows + [wv]
-    cols = list(map(list, zip(*B)))
-    C = []
-    for k in range(n):
-        e = [zero(spec)] * n
-        e[k] = one(spec)
-        sol = solve_linear(cols, e, spec)
-        C.append(sol.particular)
+    _, C = complete_to_basis(quad1_vector(preferred[0].w), spec)
     transformed = [r.map_linear(C) for r in dual.presentation.relations]
     # dehomogenize at the last coordinate, then homogenize back + commutators
-    small = amb.without(n - 1)
     rebuilt: list[NcPoly] = []
     for r in transformed:
         g = dehomogenize_poly(r, n - 1)
@@ -406,13 +393,9 @@ def _line_parametrization(ell: NcPoly, amb: Ambient) -> list[CommPoly]:
     """Symbolic (s,t) |-> point on the line ell = 0 (two basis points)."""
     spec = amb.spec
     n = amb.n
-    lv = [zero(spec)] * n
-    for w, c in ell.terms.items():
-        lv[w[0]] = c
-    from .linalg import kernel_basis
-
-    ker = kernel_basis([lv], n, spec)
-    assert len(ker) == 2
+    ker = kernel_basis([quad1_vector(ell)], n, spec)
+    if len(ker) != 2:
+        raise ValueError(f"{ell} = 0 is not a line in the projective plane")
     s = CommPoly.var(2, 0, spec)
     t = CommPoly.var(2, 1, spec)
     out = []
@@ -458,15 +441,7 @@ def _conic_parametrization(q: NcPoly, amb: Ambient) -> list[CommPoly] | None:
         return None
     # direction D = s E1 + t E2 with E1, E2 completing P; second intersection:
     # X = B(D,D) P - 2 B(P,D) D
-    basis_rows = []
-    for k in range(n):
-        e = [zero(spec)] * n
-        e[k] = one(spec)
-        if rank(basis_rows + [e] + [P], spec) == len(basis_rows) + 2:
-            basis_rows.append(e)
-        if len(basis_rows) == 2:
-            break
-    E1, E2 = basis_rows
+    (E1, E2, _), _ = complete_to_basis(P, spec)
     s = CommPoly.var(2, 0, spec)
     t = CommPoly.var(2, 1, spec)
     D = [s.scale(E1[k]) + t.scale(E2[k]) for k in range(n)]
@@ -625,9 +600,8 @@ def verify_pencil_row(row: TableRow) -> list[CheckResult]:
     # criterion: classify(delta(nabla(E))) == classify(E)
     try:
         conic = nabla(S, F)
-        d = delta(conic)
-        ok = classify(d.algebra) == got
-        results.append(_res(row, "delta_nabla_roundtrip", ok, f"{classify(d.algebra)} vs {got}"))
+        back = classify(delta(conic).algebra)
+        results.append(_res(row, "delta_nabla_roundtrip", back == got, f"{back} vs {got}"))
     except Exception as e:
         results.append(_res(row, "delta_nabla_roundtrip", False, f"{type(e).__name__}: {e}"))
     return results
@@ -716,6 +690,8 @@ def verify(table: str | None = None, row: str | None = None, out=None) -> Report
         rows = [r for r in rows if r.table == str(table)]
     if row is not None:
         rows = [r for r in rows if r.label == row]
+    if not rows:
+        raise NoMatchingRows(f"no table row matches table={table}, row={row}")
     rows.sort(key=lambda r: (_table_sort_key(r.table), r.label))
     results: list[CheckResult] = []
     for r in rows:

@@ -12,18 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .freealg import NcPoly
-from .galgebra import GradedAlgebra, Presentation, build, quotient
-from .geometry import CommPoly, SolveResult, eliminate_small
-from .linalg import (
-    Rows,
-    coords_in_basis,
-    in_span,
-    kernel_basis,
-    rank,
-    rref,
-    solve_linear,
+from .galgebra import GradedAlgebra, expected_quotient_dims, quotient
+from .geometry import (
+    CommPoly,
+    SolveResult,
+    chart_point,
+    chart_sub,
+    eliminate_small,
+    pool_minors,
+    reduce_poly,
 )
-from .quadratic import QuadraticPresentation, quad_vector, quadratic_dual
+from .linalg import complete_to_basis, in_span, kernel_basis, rank, rref, solve_linear
+from .quadratic import quad1_vector
 from .rewrite import DegreeExceedsTruncation
 from .scalars import Scalar, one, zero
 
@@ -100,17 +100,6 @@ def normalize_check(A: GradedAlgebra, w: NcPoly) -> NormalCertificate | None:
     return NormalCertificate(wn, nu, central=False)
 
 
-def nu_invertible(cert: NormalCertificate, spec) -> bool:
-    return rank(cert.nu, spec) == len(cert.nu)
-
-
-def apply_nu(cert: NormalCertificate, A: GradedAlgebra, f: NcPoly, power: int = 1) -> NcPoly:
-    out = f
-    for _ in range(power):
-        out = out.map_linear(cert.nu)
-    return A.nf(out)
-
-
 def _annihilator_scan(A: GradedAlgebra, wn: NcPoly, d: int) -> tuple[int, str] | None:
     """(degree, side) of a nonzero annihilator of w, or None."""
     amb = A.ambient
@@ -130,31 +119,10 @@ def _conic_dual_quotient_cert(A: GradedAlgebra, wn: NcPoly) -> tuple[bool, str]:
     """Degree-1 regularity certificate for duals of conics: the quadratic
     quotient by w must dualize to a single relation a x^2 + b xy + c yx + d y^2
     with ad != bc."""
-    amb = A.ambient
-    spec = amb.spec
-    n = amb.n
-    wv = [zero(spec)] * n
-    for word, c in wn.terms.items():
-        wv[word[0]] = c
-    # complete w to a basis (b1, b2, w) with deterministic unit vectors
-    basis_rows = []
-    for k in range(n):
-        e = [zero(spec)] * n
-        e[k] = one(spec)
-        if rank(basis_rows + [e] + [wv], spec) == len(basis_rows) + 2:
-            basis_rows.append(e)
-        if len(basis_rows) == n - 1:
-            break
-    B = basis_rows + [wv]  # rows are the new basis vectors
-    # coordinates of old generators in the new basis: solve B^T c = e_k
-    cols = list(map(list, zip(*B)))
-    C = []
-    for k in range(n):
-        e = [zero(spec)] * n
-        e[k] = one(spec)
-        sol = solve_linear(cols, e, spec)
-        assert sol.particular is not None
-        C.append(sol.particular)
+    spec = A.ambient.spec
+    n = A.ambient.n
+    # C: coordinates of the old generators in a basis (b1, b2, w)
+    _, C = complete_to_basis(quad1_vector(wn), spec)
     # project each quadratic relation to the (b1, b2) block
     proj_rows = []
     for r in A.presentation.relations:
@@ -189,7 +157,7 @@ def regularity_check(A: GradedAlgebra, cert: NormalCertificate) -> NormalCertifi
         return cert
     D = A.truncation
     quo = quotient(A, wn)
-    expected = [A.dims[m] - (A.dims[m - d] if m >= d else 0) for m in range(D + 1)]
+    expected = expected_quotient_dims(A.dims, d, D)
     actual = quo.dims[: D + 1]
     hilbert_ok = expected == actual
     cert.evidence["hilbert"] = {"expected": expected, "actual": actual}
@@ -212,6 +180,7 @@ def regularity_check(A: GradedAlgebra, cert: NormalCertificate) -> NormalCertifi
 
 @dataclass
 class Degree1Search:
+    algebra: GradedAlgebra  # the algebra that was searched
     certificates: list[NormalCertificate]
     complete: bool
     residue: str | None = None
@@ -227,6 +196,16 @@ class Degree1Search:
     def central_regular(self) -> list[NormalCertificate]:
         return [c for c in self.certificates if c.central and c.regular == "yes"]
 
+    def preferred(self) -> list[NormalCertificate]:
+        """Regular certificates, central first, then by leading word in the
+        searched algebra's order."""
+        order = self.algebra.rs.order
+
+        def key(c: NormalCertificate):
+            return not c.central, order.key(c.w.leading(order)[0])
+
+        return sorted(self.regular(), key=key)
+
 
 def central_degree1_search(A: GradedAlgebra) -> Degree1Search:
     """All central degree-1 elements (a linear computation) upgraded with
@@ -236,14 +215,13 @@ def central_degree1_search(A: GradedAlgebra) -> Degree1Search:
     line sweep only when it stays conclusive."""
     Z1 = center_degree(A, 1)
     if not Z1:
-        return Degree1Search([], True)
-    certs = []
+        return Degree1Search(A, [], True)
     if len(Z1) == 1:
         cert = normalize_check(A, Z1[0])
-        assert cert is not None and cert.central
-        certs.append(regularity_check(A, cert))
-        return Degree1Search(certs, True)
-    return Degree1Search([], False, f"central subspace has dimension {len(Z1)}")
+        if cert is None or not cert.central:
+            raise ValueError(f"center basis element {Z1[0]} is not central")
+        return Degree1Search(A, [regularity_check(A, cert)], True)
+    return Degree1Search(A, [], False, f"central subspace has dimension {len(Z1)}")
 
 
 def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
@@ -282,16 +260,13 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
         [lin_entry([prod[i][k][r] for k in range(n)]) for r in range(dim2)] for i in range(n)
     ]
 
-    def det4(cols: list[list[CommPoly]]) -> CommPoly:
-        return _pool_minors(cols, [tuple(range(4))], spec)[0]
-
     # normality forces span{w x_j} = span{x_i w}, so the combined 4x6 matrix
     # has rank <= 3: every 4x4 minor vanishes
     import itertools as _it
 
     all_cols = right_cols + left_cols
     eqs = []
-    for q in _pool_minors(all_cols, list(_it.combinations(range(6), 4)), spec):
+    for q in pool_minors(all_cols, list(_it.combinations(range(6), 4))):
         if not q.is_zero():
             q = q.monic()
             if q not in eqs:
@@ -316,22 +291,16 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
         for bi in range(len(basis2)):
             col = [lin_entry([table[bi][k][r] for k in range(n)]) for r in range(dim3)]
             cols.append(col)
-        return det4(cols)
+        return pool_minors(cols, [tuple(range(4))])[0]
 
     det_right = mult_det(gens3)  # b2 -> b2 * w
     det_left = mult_det(gens3l)  # b2 -> w * b2
 
-    o, z = one(spec), zero(spec)
+    z = zero(spec)
     candidates: list[tuple[Scalar, ...]] = []
     complete = True
     regular_settled = True
     residue = None
-
-    def chart_sub(p: CommPoly, chart: int) -> CommPoly:
-        q = p
-        for i in range(chart):
-            q = q.substitute_value(i, z)
-        return q.substitute_value(chart, o)
 
     for chart in range(n):
         charted = [chart_sub(p, chart) for p in eqs]
@@ -339,7 +308,7 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
         rest = list(range(chart + 1, n))
         if not rest:
             if not nonzero or all(q.evaluate([z] * 3).is_zero() for q in nonzero):
-                candidates.append(tuple([z] * chart + [o]))
+                candidates.append(chart_point((z,) * n, chart))
             continue
         res = eliminate_small(nonzero, max_deg=4) if nonzero else SolveResult(
             [], False, "no equations", [({}, [])]
@@ -347,16 +316,11 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
         chart_incomplete = not res.complete
         if res.residue and residue is None:
             residue = f"chart {chart}: {res.residue}"
-        for s in res.solutions:
-            pt = list(s)
-            pt[chart] = o
-            for i in range(chart):
-                pt[i] = z
-            candidates.append(tuple(pt))
+        candidates.extend(chart_point(s, chart) for s in res.solutions)
         if chart_incomplete:
             complete = False
             if not nonzero:
-                candidates.append(tuple(o if i == chart else z for i in range(3)))
+                candidates.append(chart_point((z,) * n, chart))
                 if residue is None:
                     residue = f"chart {chart}: normality conditions vanish identically"
             if not res.residual_ideals:
@@ -364,8 +328,6 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
                 # field could still be regular
                 regular_settled = False
             # can the leftover branches carry a regular element at all?
-            from .geometry import reduce_poly
-
             for subs, rgb in res.residual_ideals:
                 dr = chart_sub(det_right, chart)
                 dl = chart_sub(det_left, chart)
@@ -387,35 +349,10 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
         cert = regularity_check(A, cert)
         if not any(_same_projective(cert.w, c.w, spec) for c in certs):
             certs.append(cert)
-    out = Degree1Search(certs, complete, residue)
+    out = Degree1Search(A, certs, complete, residue)
     if not complete and regular_settled:
         out.regular_complete = True
     return out
-
-
-def _pool_minors(cols, combos, spec) -> list[CommPoly]:
-    """Determinants of the 4-row column subsets, sharing sub-minors across
-    subsets (first-row Laplace expansion with memoization)."""
-    cache: dict[tuple[int, tuple[int, ...]], CommPoly] = {}
-    nv = cols[0][0].nvars
-
-    def minor(r: int, colset: tuple[int, ...]) -> CommPoly:
-        key = (r, colset)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        if r == 3:
-            out = cols[colset[0]][3]
-        else:
-            out = CommPoly.zero(nv, spec)
-            for k, c in enumerate(colset):
-                sub = minor(r + 1, colset[:k] + colset[k + 1 :])
-                term = cols[c][r] * sub
-                out = out + (term if k % 2 == 0 else -term)
-        cache[key] = out
-        return out
-
-    return [minor(0, tuple(combo)) for combo in combos]
 
 
 def _same_projective(w1: NcPoly, w2: NcPoly, spec) -> bool:
@@ -423,10 +360,3 @@ def _same_projective(w1: NcPoly, w2: NcPoly, spec) -> bool:
     v2 = quad1_vector(w2)
     return rank([v1, v2], spec) == 1
 
-
-def quad1_vector(w: NcPoly):
-    n = w.ambient.n
-    v = [zero(w.ambient.spec)] * n
-    for word, c in w.terms.items():
-        v[word[0]] = c
-    return v

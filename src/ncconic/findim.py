@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .freealg import Ambient, MonomialOrder, NcPoly, Word, _format_word
-from .geometry import CommPoly, univariate_roots
+from .freealg import NcPoly, Word, _format_word
+from .geometry import CommPoly, pool_minors, univariate_roots
 from .linalg import (
     Rows,
     Vector,
@@ -22,6 +22,7 @@ from .linalg import (
     in_span,
     kernel_basis,
     rank,
+    reduce_by_echelon,
     rref,
     solve_linear,
 )
@@ -66,6 +67,7 @@ class FiniteAlgebra:
         self.unit = unit
         self.dim = len(labels)
         self._validate()
+        self._frobenius: tuple[bool, Vector | None] | None = None  # is_frobenius memo
 
     def _validate(self):
         n = self.dim
@@ -173,7 +175,14 @@ def from_presentation(relations: list[NcPoly], bound: int = 8) -> FiniteAlgebra:
 def is_frobenius(A: FiniteAlgebra) -> tuple[bool, Vector | None]:
     """Existence of phi with det(phi(e_a e_b))_ab != 0, by symbolic expansion
     of the determinant in the phi coordinates; witness from a deterministic
-    grid (guaranteed by the per-variable degree bound)."""
+    grid (guaranteed by the per-variable degree bound).  Computed once per
+    algebra."""
+    if A._frobenius is None:
+        A._frobenius = _frobenius_form(A)
+    return A._frobenius
+
+
+def _frobenius_form(A: FiniteAlgebra) -> tuple[bool, Vector | None]:
     N = A.dim
     if N > 8:
         raise ValueError("is_frobenius implemented for dim <= 8")
@@ -191,7 +200,7 @@ def is_frobenius(A: FiniteAlgebra) -> tuple[bool, Vector | None]:
                     terms[tuple(m)] = t
             row.append(CommPoly(N, spec, terms))
         entries.append(row)
-    det = _det_memo(entries, spec)
+    det = pool_minors(entries, [tuple(range(N))])[0]  # det of the transpose
     if det.is_zero():
         return False, None
     for point in itertools.product(range(N + 1), repeat=N):
@@ -199,26 +208,6 @@ def is_frobenius(A: FiniteAlgebra) -> tuple[bool, Vector | None]:
         if not det.evaluate(vals).is_zero():
             return True, vals
     raise AssertionError("nonzero determinant with no grid witness")
-
-
-def _det_memo(entries: list[list[CommPoly]], spec: FieldSpec) -> CommPoly:
-    N = len(entries)
-    cache: dict[tuple[int, tuple[int, ...]], CommPoly] = {}
-
-    def minor(r: int, cols: tuple[int, ...]) -> CommPoly:
-        if r == N:
-            return CommPoly.const(entries[0][0].nvars, one(spec))
-        key = (r, cols)
-        if key in cache:
-            return cache[key]
-        acc = CommPoly.zero(entries[0][0].nvars, spec)
-        for k, c in enumerate(cols):
-            term = entries[r][c] * minor(r + 1, cols[:k] + cols[k + 1 :])
-            acc = acc + (term if k % 2 == 0 else -term)
-        cache[key] = acc
-        return acc
-
-    return minor(0, tuple(range(N)))
 
 
 # -- invariants and classification ---------------------------------------------------
@@ -288,11 +277,7 @@ def _quotient_algebra(A: FiniteAlgebra, ideal: Rows) -> tuple["FiniteAlgebra", l
     free = [c for c in range(N) if c not in pivot_set]
 
     def project(v: Vector) -> Vector:
-        w = list(v)
-        for row, pc in zip(red, pivots):
-            c = w[pc]
-            if not c.is_zero():
-                w = [a - c * b for a, b in zip(w, row)]
+        w = reduce_by_echelon(v, red, pivots)
         return [w[c] for c in free]
 
     lifts = [A.basis_vector(c) for c in free]
@@ -325,7 +310,8 @@ def _split_idempotents(A: FiniteAlgebra) -> tuple[list[Vector], bool]:
                         break
                 cols = list(map(list, zip(*powers[:-1])))
                 sol = solve_linear(cols, powers[-1], spec)
-                assert sol.particular is not None
+                if sol.particular is None:
+                    raise ArithmeticError("dependent Krylov power has no solution")
                 coeffs = [-c for c in sol.particular] + [one(spec)]
                 roots, f_split = univariate_roots(coeffs, spec)
                 if not f_split:
@@ -388,12 +374,14 @@ def _square_zero_form(A: FiniteAlgebra, inv: AlgebraInvariants):
     for v in J:
         if not in_span(J2 + lifts, v, spec):
             lifts.append(v)
-    assert len(lifts) == 2 and len(J2) == 1
+    if len(lifts) != 2 or len(J2) != 1:
+        raise SignatureUnmatched(f"dim J/J^2 = {len(lifts)}, dim J^2 = {len(J2)} (need 2, 1)")
     g = J2[0]
 
     def in_g(v: Vector) -> Scalar:
         c = coords_in_basis([g], v, spec)
-        assert c is not None
+        if c is None:
+            raise SignatureUnmatched("a product of radical elements leaves J^2")
         return c[0]
 
     u, v = lifts

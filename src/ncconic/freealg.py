@@ -8,7 +8,6 @@ and iterated in descending monomial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import FieldSpec, Scalar, one, zero
 
@@ -61,9 +60,6 @@ class MonomialOrder:
 
     def key(self, w: Word):
         return (len(w), tuple(self.precedence[i] for i in w))
-
-    def greater(self, u: Word, v: Word) -> bool:
-        return self.key(u) > self.key(v)
 
 
 class NcPoly:
@@ -219,7 +215,8 @@ class NcPoly:
             return "0"
         parts = []
         for w, c in self.sorted_terms(order):
-            parts.append(_format_term(self.ambient, w, c, first=not parts))
+            word = _format_word(self.ambient, w) if w else ""
+            parts.append(format_term(word, c, first=not parts))
         return "".join(parts)
 
 
@@ -238,27 +235,24 @@ def _format_word(ambient: Ambient, w: Word) -> str:
     return "*".join(pieces)
 
 
-def _format_term(ambient: Ambient, w: Word, c: Scalar, first: bool) -> str:
-    word = _format_word(ambient, w)
+def format_term(word: str, c: Scalar, first: bool) -> str:
+    """One signed term c*word of a printed polynomial; word is "" for the
+    constant term."""
     neg = c.b < 0 if c.a == 0 else c.a < 0
     mag = -c if neg else c
-    if w and mag.is_one():
+    if word and mag.is_one():
         body = word
     else:
         coeff = str(mag)
         if ("+" in coeff[1:]) or ("-" in coeff[1:]) or "/" in coeff or "*" in coeff:
             coeff = f"({coeff})"
-        body = coeff if not w else f"{coeff}*{word}"
+        body = f"{coeff}*{word}" if word else coeff
     if first:
         return f"-{body}" if neg else body
     return f" - {body}" if neg else f" + {body}"
 
 
 # -- the (de)homogenization operators on single polynomials ---------------------
-
-
-def nc_mul(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p * q
 
 
 def dehomogenize_poly(f: NcPoly, z: int) -> NcPoly:
@@ -294,13 +288,3 @@ def wild_homogenize_poly(f: NcPoly) -> NcPoly:
         raise ZeroInput("cannot take top form of 0")
     return f.homogeneous_component(f.degree())
 
-
-def poly_from_pairs(ambient: Ambient, pairs) -> NcPoly:
-    """Build from (word, coefficient) pairs, coefficients int/Fraction/Scalar."""
-    terms: dict[Word, Scalar] = {}
-    z = zero(ambient.spec)
-    for w, c in pairs:
-        cc = c if isinstance(c, Scalar) else Scalar.of(Fraction(c), ambient.spec)
-        w = tuple(w)
-        terms[w] = terms.get(w, z) + cc
-    return NcPoly(ambient, terms)

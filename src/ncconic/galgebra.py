@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .freealg import Ambient, MonomialOrder, NcPoly, Word
-from .linalg import Vector, coords_in_basis
+from .linalg import Vector
 from .rewrite import RewriteSystem, complete, graded_basis, normal_form
-from .scalars import Scalar, zero
+from .scalars import zero
 
 
 class InconclusiveTruncation(Exception):
@@ -113,6 +113,12 @@ def quotient(A: GradedAlgebra, fs: NcPoly | list[NcPoly], D: int | None = None) 
     return build(A.presentation.with_extra(fs), D or A.rs.truncation, A.rs.order)
 
 
+def expected_quotient_dims(dims: list[int], d: int, D: int) -> list[int]:
+    """Hilbert prefix up to degree D of A/(w) for a regular normal w of degree
+    d: the coefficients of (1 - t^d) * H_A."""
+    return [dims[m] - (dims[m - d] if m >= d else 0) for m in range(D + 1)]
+
+
 @dataclass
 class ElementVerdict:
     element: NcPoly
@@ -156,13 +162,10 @@ def is_regular_normal_sequence(S: GradedAlgebra, elems: list[NcPoly]) -> Sequenc
         if img.is_zero():
             # 0 is normal but never regular in a nonzero algebra
             verdicts.append(ElementVerdict(f, d, True, False, [], current.dims, 0))
-            current = current  # quotient unchanged
             continue
         cert = normalize_check(current, img)
         nxt = quotient(current, f)
-        expected = [
-            current.dims[m] - (current.dims[m - d] if m >= d else 0) for m in range(D + 1)
-        ]
+        expected = expected_quotient_dims(current.dims, d, D)
         actual = nxt.dims[: D + 1]
         mismatch = next((m for m in range(D + 1) if expected[m] != actual[m]), None)
         verdicts.append(

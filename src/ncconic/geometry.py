@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import sympy
 
-from .freealg import NcPoly
+from .freealg import NcPoly, format_term
 from .scalars import FieldSpec, Scalar, one, zero
 
 Monomial = tuple[int, ...]
@@ -169,23 +169,54 @@ class CommPoly:
             word = "*".join(
                 (names[i] if e == 1 else f"{names[i]}^{e}") for i, e in enumerate(m) if e
             )
-            neg = c.b < 0 if c.a == 0 else c.a < 0
-            mag = -c if neg else c
-            if word and mag.is_one():
-                body = word
-            else:
-                cs = str(mag)
-                if any(ch in cs[1:] for ch in "+-") or "/" in cs or "*" in cs:
-                    cs = f"({cs})"
-                body = cs if not word else f"{cs}*{word}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f" - {body}" if neg else f" + {body}")
+            parts.append(format_term(word, c, first=not parts))
         return "".join(parts)
 
     def __repr__(self):
         return self.format([f"v{i}" for i in range(self.nvars)])
+
+
+def pool_minors(cols: list[list[CommPoly]], combos: list[tuple[int, ...]]) -> list[CommPoly]:
+    """Determinants of the square submatrices on the column subsets combos of
+    a matrix given by its columns, sharing sub-minors across subsets
+    (first-row Laplace expansion with memoization)."""
+    cache: dict[tuple[int, tuple[int, ...]], CommPoly] = {}
+    last = len(cols[0]) - 1
+    nv, spec = cols[0][0].nvars, cols[0][0].spec
+
+    def minor(r: int, colset: tuple[int, ...]) -> CommPoly:
+        key = (r, colset)
+        got = cache.get(key)
+        if got is not None:
+            return got
+        if r == last:
+            out = cols[colset[0]][last]
+        else:
+            out = CommPoly.zero(nv, spec)
+            for k, c in enumerate(colset):
+                sub = minor(r + 1, colset[:k] + colset[k + 1 :])
+                term = cols[c][r] * sub
+                out = out + (term if k % 2 == 0 else -term)
+        cache[key] = out
+        return out
+
+    return [minor(0, tuple(combo)) for combo in combos]
+
+
+def chart_sub(p: CommPoly, chart: int) -> CommPoly:
+    """p on the affine chart v_chart = 1, v_i = 0 for i < chart."""
+    z = zero(p.spec)
+    for i in range(chart):
+        p = p.substitute_value(i, z)
+    return p.substitute_value(chart, one(p.spec))
+
+
+def chart_point(sol: tuple[Scalar, ...], chart: int) -> tuple[Scalar, ...]:
+    """The projective point of a solution on the affine chart of chart_sub."""
+    spec = sol[chart].spec
+    return tuple(
+        zero(spec) if i < chart else one(spec) if i == chart else c for i, c in enumerate(sol)
+    )
 
 
 def _divides(m: Monomial, n: Monomial) -> bool:
@@ -478,7 +509,8 @@ def _min_poly_krylov(gb: list[CommPoly], var: int, nvars: int, spec: FieldSpec, 
             vecs = [to_vec(p) for p in powers]
             cols = list(map(list, zip(*vecs[:-1])))
             sol = solve_linear(cols, vecs[-1], spec)
-            assert sol.particular is not None
+            if sol.particular is None:
+                raise ArithmeticError(f"dependent power of v{var} has no solution")
             return [-c for c in sol.particular] + [one(spec)]
     return None
 
@@ -542,7 +574,8 @@ def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec, active: list[int]
     else:
         var = active[-1]
         mp = _min_poly_krylov(gb, var, nvars, spec)
-        assert mp is not None
+        if mp is None:
+            raise BoundExceeded(f"no minimal polynomial of v{var} within 40 powers")
     roots, split = univariate_roots(mp, spec)
     if not split and residue is None:
         mp_str = "+".join(f"({_scalar_to_sympy(c)})*t^{k}" for k, c in enumerate(mp))
@@ -576,16 +609,6 @@ def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec, active: list[int]
 
 
 # -- point schemes ---------------------------------------------------------------
-
-
-@dataclass
-class PointScheme:
-    mode: str  # "finite" | "generators"
-    points: list[tuple[Scalar, ...]] = field(default_factory=list)
-    sigma: dict[tuple[Scalar, ...], tuple[Scalar, ...]] = field(default_factory=dict)
-    gens: list[CommPoly] = field(default_factory=list)
-    complete: bool = True
-    residue: str | None = None
 
 
 def normalize_point(p: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
@@ -665,24 +688,16 @@ def solve_projective(polys: list[CommPoly]) -> tuple[list[tuple[Scalar, ...]], b
         raise ValueError("no equations")
     nvars = polys[0].nvars
     spec = polys[0].spec
-    o, z = one(spec), zero(spec)
+    z = zero(spec)
     points: list[tuple[Scalar, ...]] = []
     complete = True
     residue = None
     for chart in range(nvars):
-        charted = []
-        for p in polys:
-            q = p
-            for i in range(chart):
-                q = q.substitute_value(i, z)
-            q = q.substitute_value(chart, o)
-            charted.append(q)
+        charted = [chart_sub(p, chart) for p in polys]
         rest = [i for i in range(chart + 1, nvars)]
         if not rest:
             if all(q.evaluate([z] * nvars).is_zero() for q in charted if not q.is_zero()):
-                pt = [z] * nvars
-                pt[chart] = o
-                points.append(tuple(pt))
+                points.append(chart_point((z,) * nvars, chart))
             continue
         if all(q.is_zero() for q in charted):
             complete = False
@@ -692,10 +707,5 @@ def solve_projective(polys: list[CommPoly]) -> tuple[list[tuple[Scalar, ...]], b
         complete = complete and res.complete
         if res.residue and residue is None:
             residue = res.residue
-        for s in res.solutions:
-            pt = list(s)
-            pt[chart] = o
-            for i in range(chart):
-                pt[i] = z
-            points.append(tuple(pt))
+        points.extend(chart_point(s, chart) for s in res.solutions)
     return points, complete, residue

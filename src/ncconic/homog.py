@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import Ambient, NcPoly, Word, dehomogenize_poly, homogenize_poly, wild_homogenize_poly
+from .freealg import Ambient, NcPoly, dehomogenize_poly, homogenize_poly, wild_homogenize_poly
 from .galgebra import (
     GradedAlgebra,
     Presentation,
@@ -20,7 +20,7 @@ from .galgebra import (
     is_regular_normal_sequence,
 )
 from .linalg import rank
-from .scalars import Scalar, one, zero
+from .scalars import Scalar
 
 
 class SingularMatrix(Exception):
@@ -69,16 +69,6 @@ def homogenize_seq(F: RelationSequence, zname: str = "z") -> RelationSequence:
         h = homogenize_poly(f, zname)
         out.append(NcPoly(big, dict(h.terms)))
     return RelationSequence(big, out)
-
-
-def dehomogenize_seq(F: RelationSequence, z: int) -> RelationSequence:
-    small = F.ambient.without(z)
-    out = []
-    for f in F.elems:
-        g = dehomogenize_poly(f, z)
-        if not g.is_zero():
-            out.append(g)
-    return RelationSequence(small, out)
 
 
 def adjoined_polynomial_presentation(S: Presentation, zname: str = "z") -> Presentation:
@@ -221,7 +211,8 @@ def localized_zero_part(A: GradedAlgebra, cert, i0: int, labels_prefix: str = "b
     def express(p: NcPoly) -> list[Scalar]:
         v = A.coords(p, 2 * dloc)
         c = coords_in_basis(image_rows, v, spec)
-        assert c is not None
+        if c is None:
+            raise NotStabilized(f"A_{2 * dloc} is not A_{dloc} * w^{i0}")
         return c
 
     def nu_pow(p: NcPoly) -> NcPoly:

@@ -19,18 +19,6 @@ def zero_vector(n: int, spec: FieldSpec) -> Vector:
     return [zero(spec)] * n
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return [a + b for a, b in zip(u, v, strict=True)]
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return [a - b for a, b in zip(u, v, strict=True)]
-
-
-def vec_scale(c: Scalar, u: Vector) -> Vector:
-    return [c * a for a in u]
-
-
 def is_zero_vector(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
 
@@ -86,6 +74,17 @@ def rref(rows: Rows, spec: FieldSpec) -> tuple[Rows, list[int]]:
 
 def rank(rows: Rows, spec: FieldSpec) -> int:
     return len(rref(rows, spec)[0])
+
+
+def reduce_by_echelon(v: Vector, red: Rows, pivots: list[int]) -> Vector:
+    """v minus its combination of the rows of an rref (red, pivots): zero
+    exactly on the pivot columns."""
+    w = list(v)
+    for row, pc in zip(red, pivots):
+        c = w[pc]
+        if not c.is_zero():
+            w = [a - c * b for a, b in zip(w, row)]
+    return w
 
 
 def kernel_basis(rows: Rows, ncols: int, spec: FieldSpec) -> Rows:
@@ -153,3 +152,22 @@ def coords_in_basis(basis_rows: Rows, v: Vector, spec: FieldSpec) -> Vector | No
     cols = list(map(list, zip(*basis_rows)))  # transpose: columns are basis vectors
     sol = solve_linear(cols, v, spec)
     return sol.particular
+
+
+def complete_to_basis(v: Vector, spec: FieldSpec) -> tuple[Rows, Rows]:
+    """Complete a nonzero v to a basis B of k^n by the first unit vectors
+    independent of it, v last; returns (B, C) where row k of C holds the
+    coordinates of the k-th unit vector in B."""
+    n = len(v)
+    if is_zero_vector(v):
+        raise ValueError("cannot complete the zero vector to a basis")
+    units = [[one(spec) if i == k else zero(spec) for i in range(n)] for k in range(n)]
+    B: Rows = []
+    for e in units:
+        if len(B) == n - 1:
+            break
+        if rank(B + [e, v], spec) == len(B) + 2:
+            B.append(e)
+    B.append(v)
+    cols = list(map(list, zip(*B)))
+    return B, [solve_linear(cols, e, spec).particular for e in units]

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .freealg import Ambient, NcPoly
-from .scalars import FieldSpec, QI, QQ, Scalar, _squarefree_core, one
+from .scalars import FieldSpec, QI, QQ, Scalar, _squarefree_core
 
 
 class PresSyntaxError(Exception):
@@ -199,7 +198,10 @@ def parse_field(text: str, line: int) -> FieldSpec:
         return QI
     m = re.fullmatch(r"Q\(sqrt\s*(-?\d+)\)", t)
     if m:
-        return FieldSpec(int(m.group(1)))
+        try:
+            return FieldSpec(int(m.group(1)))
+        except ValueError:
+            raise PresSyntaxError(line, 1, "a squarefree N other than 0, 1 in Q(sqrt N)") from None
     raise PresSyntaxError(line, 1, "Q, Q(i) or Q(sqrt N)")
 
 

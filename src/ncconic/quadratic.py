@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Ambient, MonomialOrder, NcPoly
-from .galgebra import GradedAlgebra, Presentation, build
-from .linalg import Rows, in_span, kernel_basis, rank, rref
+from .galgebra import GradedAlgebra, Presentation
+from .linalg import Rows, in_span, is_zero_vector, kernel_basis, rank, reduce_by_echelon, rref
 from .scalars import Scalar, zero
 
 
@@ -29,6 +29,16 @@ def quad_vector(f: NcPoly) -> list[Scalar]:
             raise ValueError(f"{f} is not purely quadratic")
         i, j = w
         v[i * n + j] = c
+    return v
+
+
+def quad1_vector(w: NcPoly) -> list[Scalar]:
+    """Coefficient row of a purely linear polynomial in the x_i basis."""
+    v = [zero(w.ambient.spec)] * w.ambient.n
+    for word, c in w.terms.items():
+        if len(word) != 1:
+            raise ValueError(f"{w} is not purely linear")
+        v[word[0]] = c
     return v
 
 
@@ -98,19 +108,11 @@ def dual_element(S: QuadraticPresentation, f: NcPoly) -> NcPoly:
     if len(perp_a) != len(perp_s) - 1:
         raise NotCodimensionOne("dual relation spaces do not drop by exactly 1")
     red_a, pivots = rref(perp_a, spec)
-    gap = None
     for v in perp_s:
-        w = list(v)
-        for row, pc in zip(red_a, pivots):
-            c = w[pc]
-            if not c.is_zero():
-                w = [a - c * b for a, b in zip(w, row)]
-        if any(not c.is_zero() for c in w):
-            gap = w
-            break
-    assert gap is not None
-    poly = quad_poly(amb, gap)
-    return poly.monic(MonomialOrder.default(n))
+        gap = reduce_by_echelon(v, red_a, pivots)
+        if not is_zero_vector(gap):
+            return quad_poly(amb, gap).monic(MonomialOrder.default(n))
+    raise NotCodimensionOne("the dual relation space of S lies inside that of S + f")
 
 
 def koszul_series_check(A: GradedAlgebra, dual: GradedAlgebra, D: int | None = None) -> bool:
@@ -127,8 +129,3 @@ def koszul_series_check(A: GradedAlgebra, dual: GradedAlgebra, D: int | None = N
             return False
     return True
 
-
-def dual_algebra(A_pres: Presentation, D: int, order=None) -> GradedAlgebra:
-    """Convenience: build the quadratic dual of a quadratic presentation."""
-    q = QuadraticPresentation(A_pres)
-    return build(quadratic_dual(q).presentation, D, order)

@@ -117,9 +117,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0
 
-    def is_rational_value(self) -> bool:
-        return self.b == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -163,9 +160,6 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         return self * other.inverse()
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.a, -self.b, self.spec)
 
     # -- misc ----------------------------------------------------------------
 
@@ -245,17 +239,3 @@ def zero(spec: FieldSpec) -> Scalar:
 def one(spec: FieldSpec) -> Scalar:
     return Scalar(Fraction(1), Fraction(0), spec)
 
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch form of field arithmetic; op in '+ - * /'."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b.is_zero():
-            raise DivisionByZero("division by zero scalar")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

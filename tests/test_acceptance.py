@@ -8,6 +8,7 @@ the row-by-row criteria.
 
 import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from ncconic.rewrite import complete, graded_basis, normal_form
 from ncconic.scalars import QQ, Scalar, one, zero
 
 CONIC_TABLES = sorted(dataset.CONIC_TABLES, key=int)
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_report.txt"
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,12 @@ def full_report():
     buf = io.StringIO()
     rep = dataset.verify(out=buf)
     return rep, buf.getvalue()
+
+
+def test_report_matches_golden(full_report):
+    # the full text report, byte for byte; a deliberate change rewrites the file
+    _, text = full_report
+    assert text == GOLDEN_REPORT.read_text(encoding="utf-8")
 
 
 def _by_check(rep, tables, names):

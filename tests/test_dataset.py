@@ -1,9 +1,10 @@
 import io
+import sys
 from collections import Counter
 
 import pytest
 
-from ncconic import dataset
+from ncconic import dataset, elements, findim
 
 EXPECTED_ROWS = {
     "1": 10,
@@ -64,3 +65,34 @@ def test_skip_rows_report_reasons():
     for r in rows:
         res = dataset.verify_row(r)
         assert len(res) == 1 and res[0].status == "SKIP" and res[0].detail
+
+
+def test_each_artifact_is_computed_once(monkeypatch):
+    # the degree-1 search, wrapped under every module name that binds it
+    search = elements.find_normal_degree1
+    searched = []
+
+    def counted_search(A):
+        searched.append(A)
+        return search(A)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ncconic") and getattr(mod, "find_normal_degree1", None) is search:
+            monkeypatch.setattr(mod, "find_normal_degree1", counted_search)
+    # the body of the Frobenius test, behind is_frobenius's per-algebra memo
+    frobenius = findim._frobenius_form
+    tested = []
+
+    def counted_frobenius(A):
+        tested.append(A)
+        return frobenius(A)
+
+    monkeypatch.setattr(findim, "_frobenius_form", counted_frobenius)
+    row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
+    results = {r.check: r.status for r in dataset.verify_row(row)}
+    # compute_C, the rz columns and rehomogenize_dual_span all use the one search
+    assert results["rehomogenize_dual_span"] == "PASS"
+    assert len(searched) == 1
+    # C_frobenius and classify share one Frobenius test of C(A)
+    assert results["C_frobenius"] == "PASS" and results["class"] == "PASS"
+    assert len(tested) == 1

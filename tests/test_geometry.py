@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ncconic.freealg import Ambient, NcPoly
@@ -48,6 +50,35 @@ def test_k_matrix_small_cases():
 def test_minors_worked_example():
     M = minors_ideal(k_matrix(S_CONIC))
     assert [m.format(NAMES) for m in M] == ["2*x*y*z", "x^2*z", "-x^2*y", "-x^3"]
+
+
+@pytest.mark.parametrize(
+    "spec, terms, want",
+    [
+        (QQ, {(2, 0, 0): (-1,), (0, 1, 1): (-3,), (0, 0, 0): (-7,)}, "-x^2 - 3*y*z - 7"),
+        (
+            QQ,
+            {(1, 1, 0): (Fraction(1, 2),), (0, 0, 2): (Fraction(-2, 3),), (0, 0, 0): (Fraction(5, 4),)},
+            "(1/2)*x*y - (2/3)*z^2 + (5/4)",
+        ),
+        (
+            QI,
+            {(1, 0, 1): (1, 1), (0, 1, 0): (0, -1), (0, 0, 0): (2, 0), (0, 0, 3): (0, Fraction(1, 2))},
+            "(1/2*i)*z^3 + (1+i)*x*z - i*y + 2",
+        ),
+        (FieldSpec(3), {(1, 0, 0): (0, 1), (0, 2, 0): (-1, -2)}, "-(1+2*sqrt(3))*y^2 + sqrt(3)*x"),
+        (QQ, {(0, 0, 0): (Fraction(-5, 3),)}, "-(5/3)"),
+        (QQ, {(0, 0, 0): (1,)}, "1"),
+        (QQ, {}, "0"),
+    ],
+    ids=["negative", "rational", "gaussian", "sqrt3", "constant", "unit", "zero"],
+)
+def test_commpoly_format(spec, terms, want):
+    def scalar(a, b=0):
+        return Scalar(Fraction(a), Fraction(b), spec)
+
+    p = CommPoly(3, spec, {m: scalar(*c) for m, c in terms.items()})
+    assert p.format(NAMES) == want
 
 
 def test_minors_zero_column():

@@ -181,6 +181,11 @@ def test_cli_exit_codes(tmp_path):
     nonreg.write_text("field: Q\ngens: x y\nrel: x*y - y*x\nrel: x^2\n")
     code, _ = run_cli(["dehomogenize", str(nonreg), "--elem", "x"])
     assert code == 1
+    # the table 2 counterexample model has dimension 3: a failed check, not a usage error
+    dim3 = tmp_path / "dim3.alg"
+    dim3.write_text("field: Q\ngens: x y\nrel: x*y - y*x\nrel: x^2 - y\nrel: x*y\n")
+    code, _ = run_cli(["classify", str(dim3)])
+    assert code == 1
 
 
 def test_env_default_truncation(f1_file, monkeypatch):
@@ -188,3 +193,22 @@ def test_env_default_truncation(f1_file, monkeypatch):
     code, out = run_cli(["hilbert", f1_file])
     assert code == 0
     assert out.strip() == "1,3,5,7,9,11"
+
+
+@pytest.mark.parametrize(
+    "case", ["unknown table", "max-deg 1", "field not squarefree", "env not an integer"]
+)
+def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
+    args = {
+        "unknown table": ["verify", "--table", "99"],
+        "max-deg 1": ["hilbert", f1_file, "--max-deg", "1"],
+        "field not squarefree": ["hilbert", str(tmp_path / "sqrt4.alg")],
+        "env not an integer": ["hilbert", f1_file],
+    }[case]
+    (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")
+    if case == "env not an integer":
+        monkeypatch.setenv("NCCONIC_MAX_DEG", "abc")
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1, err

@@ -11,7 +11,6 @@ from ncconic.scalars import (
     QQ,
     Scalar,
     one,
-    scalar_arith,
     zero,
 )
 
@@ -45,9 +44,9 @@ def test_basic_examples():
 
 def test_field_mismatch_and_zero_division():
     with pytest.raises(FieldMismatch):
-        scalar_arith(one(QQ), one(QI), "+")
+        one(QQ) + one(QI)
     with pytest.raises(DivisionByZero):
-        scalar_arith(one(QQ), zero(QQ), "/")
+        one(QQ) / zero(QQ)
 
 
 def test_spec_validation():

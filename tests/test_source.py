@@ -1,0 +1,73 @@
+"""Source hygiene of the package, checked with ast (no linter is a dependency).
+
+- No `assert` statement carries library logic: under `python -O` it vanishes.
+- Every public module-level function and class of the package is referenced
+  by name somewhere outside its own definition, in src/, scripts/ or tests/
+  (or pyproject.toml, for entry points).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ncconic"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _uses(node: ast.AST, module: str | None) -> set[tuple[str | None, str]]:
+    """(module, name) pairs that node refers to: names imported from a package
+    module, names used inside the package module itself, and attribute names
+    (module None: an attribute may belong to any module)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and sub.module:
+            source = sub.module.rsplit(".", 1)[-1]
+            out |= {(source, alias.name) for alias in sub.names}
+        elif isinstance(sub, ast.Attribute):
+            out.add((None, sub.attr))
+        elif isinstance(sub, ast.Name) and module is not None:
+            out.add((module, sub.id))
+    return out
+
+
+def test_no_assert_statements_in_package():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in library code: {found}"
+
+
+def test_every_public_definition_is_referenced():
+    files = [
+        p for d in ("src", "scripts", "tests") for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    defined: list[tuple[str, str]] = []
+    # console-script entry points name their functions in pyproject.toml
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    used = set(re.findall(r"ncconic\.(\w+):(\w+)", pyproject))
+    for path in files:
+        module = path.stem if path.parent == PACKAGE else None
+        for top in _parse(path).body:
+            if (
+                module is not None
+                and isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                and not top.name.startswith("_")
+            ):
+                defined.append((module, top.name))
+                # a definition's own body does not count as a use of it
+                used |= _uses(top, module) - {(module, top.name), (None, top.name)}
+            else:
+                used |= _uses(top, module)
+    unused = sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if (module, name) not in used and (None, name) not in used
+    )
+    assert not unused, f"public definitions nothing refers to: {unused}"
