@@ -23,6 +23,7 @@ from .freealg import NcPoly
 from .galgebra import GradedAlgebra, Presentation, build
 from .homog import (
     RelationSequence,
+    StrongVerdict,
     dehomogenize_algebra,
     homogenize_presentation,
     is_strongly_regular_normal,
@@ -94,10 +95,17 @@ def compute_C(
     return CResult(localized_zero_part(dual, c2, 1), f"localize({fd})", c2)
 
 
-def nabla(S: GradedAlgebra, F: RelationSequence, D: int = 6) -> GradedAlgebra:
+def nabla(
+    S: GradedAlgebra,
+    F: RelationSequence,
+    D: int = 6,
+    verdict: StrongVerdict | None = None,
+) -> GradedAlgebra:
     """The conic dual(H^z(S, F)) of a pencil-of-conics presentation; the
-    sequence must be strongly regular normal."""
-    verdict = is_strongly_regular_normal(S, F)
+    sequence must be strongly regular normal.  verdict, when given, is
+    is_strongly_regular_normal(S, F) already computed by the caller."""
+    if verdict is None:
+        verdict = is_strongly_regular_normal(S, F)
     if not verdict.strongly_regular_normal:
         raise NotStronglyRegular(
             f"top sequence regular normal: {verdict.top_sequence.all_regular_normal}, "

@@ -377,10 +377,8 @@ def verify_center_row(row: TableRow) -> list[CheckResult]:
     exp = [parse_poly(t, amb) for t in want]
     ok_dim = len(basis) == len(exp)
     comp_rows = [S.coords(p, 2) for p in basis]
-    ok_member = all(
-        coords_in_basis(comp_rows, S.coords(p, 2), row.spec) is not None for p in exp
-    )
     exp_rows = [S.coords(p, 2) for p in exp]
+    ok_member = all(c is not None for c in coords_in_basis(comp_rows, exp_rows, row.spec))
     ok_rank = rank(exp_rows, row.spec) == len(exp)
     results.append(
         _res(row, "center_span", ok_dim and ok_member and ok_rank,
@@ -599,7 +597,7 @@ def verify_pencil_row(row: TableRow) -> list[CheckResult]:
         return results
     # criterion: classify(delta(nabla(E))) == classify(E)
     try:
-        conic = nabla(S, F)
+        conic = nabla(S, F, verdict=verdict)
         back = classify(delta(conic).algebra)
         results.append(_res(row, "delta_nabla_roundtrip", back == got, f"{back} vs {got}"))
     except Exception as e:

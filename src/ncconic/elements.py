@@ -22,7 +22,7 @@ from .geometry import (
     pool_minors,
     reduce_poly,
 )
-from .linalg import complete_to_basis, in_span, kernel_basis, rank, rref, solve_linear
+from .linalg import complete_to_basis, kernel_basis, rank, rref, solve_linear
 from .quadratic import quad1_vector
 from .rewrite import DegreeExceedsTruncation
 from .scalars import Scalar, one, zero
@@ -87,16 +87,12 @@ def normalize_check(A: GradedAlgebra, w: NcPoly) -> NormalCertificate | None:
         nu = [[one(spec) if i == j else zero(spec) for j in range(n)] for i in range(n)]
         return NormalCertificate(wn, nu, central=True)
     cols = list(map(list, zip(*right)))  # matrix with columns w x_j
-    nu = []
-    for i in range(n):
-        sol = solve_linear(cols, left[i], spec)
-        if sol.particular is None:
-            return None
-        nu.append(sol.particular)
+    nu = solve_linear(cols, left, spec)
+    if any(row is None for row in nu):
+        return None
     # mirror inclusion: w x_j in span{x_i w}
-    for j in range(n):
-        if not in_span(left, right[j], spec):
-            return None
+    if rank(left, spec) != rank(left + right, spec):
+        return None
     return NormalCertificate(wn, nu, central=False)
 
 
@@ -169,8 +165,6 @@ def regularity_check(A: GradedAlgebra, cert: NormalCertificate) -> NormalCertifi
             cert.regular = "yes"
         elif not ok69 and not hilbert_ok:
             cert.regular = "no"
-        elif not ok69:
-            cert.regular = "unknown"
         else:
             cert.regular = "unknown"
         return cert

@@ -21,10 +21,10 @@ from .linalg import (
     coords_in_basis,
     in_span,
     kernel_basis,
+    krylov_min_poly,
     rank,
     reduce_by_echelon,
     rref,
-    solve_linear,
 )
 from .scalars import FieldSpec, Scalar, one, zero
 
@@ -303,16 +303,7 @@ def _split_idempotents(A: FiniteAlgebra) -> tuple[list[Vector], bool]:
             for e in idems:
                 t = A.mul(e, t0)
                 # minimal polynomial of t acting on e*A*e (Krylov from e)
-                powers = [e]
-                while True:
-                    powers.append(A.mul(powers[-1], t))
-                    if rank(powers, spec) < len(powers):
-                        break
-                cols = list(map(list, zip(*powers[:-1])))
-                sol = solve_linear(cols, powers[-1], spec)
-                if sol.particular is None:
-                    raise ArithmeticError("dependent Krylov power has no solution")
-                coeffs = [-c for c in sol.particular] + [one(spec)]
+                coeffs = krylov_min_poly(e, lambda u: A.mul(u, t), spec)
                 roots, f_split = univariate_roots(coeffs, spec)
                 if not f_split:
                     split = False
@@ -378,16 +369,15 @@ def _square_zero_form(A: FiniteAlgebra, inv: AlgebraInvariants):
         raise SignatureUnmatched(f"dim J/J^2 = {len(lifts)}, dim J^2 = {len(J2)} (need 2, 1)")
     g = J2[0]
 
-    def in_g(v: Vector) -> Scalar:
-        c = coords_in_basis([g], v, spec)
-        if c is None:
+    def in_g(*vs: Vector) -> list[Scalar]:
+        cs = coords_in_basis([g], list(vs), spec)
+        if any(c is None for c in cs):
             raise SignatureUnmatched("a product of radical elements leaves J^2")
-        return c[0]
+        return [c[0] for c in cs]
 
     u, v = lifts
-    qa = in_g(A.mul(u, u))
-    qb = in_g(vec := [a + b for a, b in zip(A.mul(u, v), A.mul(v, u), strict=True)])
-    qc = in_g(A.mul(v, v))
+    uv_vu = [a + b for a, b in zip(A.mul(u, v), A.mul(v, u), strict=True)]
+    qa, qb, qc = in_g(A.mul(u, u), uv_vu, A.mul(v, v))
     return (qa, qb, qc), (u, v), g, in_g
 
 
@@ -466,10 +456,7 @@ def classify(A: FiniteAlgebra) -> FrobeniusClass:
                 f"square-zero form does not split over {spec} (disc {disc})"
             )
         w1, w2 = dirs
-        p12 = A.mul(w1, w2)
-        p21 = A.mul(w2, w1)
-        m1 = in_g(p12)
-        m2 = in_g(p21)
+        m1, m2 = in_g(A.mul(w1, w2), A.mul(w2, w1))
         if m1.is_zero() or m2.is_zero():
             raise SignatureUnmatched("degenerate products of square-zero directions")
         mu = m1 / m2

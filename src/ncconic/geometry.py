@@ -20,6 +20,7 @@ from fractions import Fraction
 import sympy
 
 from .freealg import NcPoly, format_term
+from .linalg import kernel_basis, krylov_min_poly
 from .scalars import FieldSpec, Scalar, one, zero
 
 Monomial = tuple[int, ...]
@@ -458,61 +459,18 @@ def _normal_monomials(gb: list[CommPoly], nvars: int, active: list[int]) -> list
     return sorted(monos, key=_grlex_key)
 
 
-def _min_poly_krylov(gb: list[CommPoly], var: int, nvars: int, spec: FieldSpec, cap: int = 40) -> list[Scalar] | None:
-    """Minimal polynomial of the coordinate var in the quotient by gb, by
-    reducing successive powers with incremental sparse elimination; None when
-    no dependence appears within cap (the variable is then transcendental or
-    the cap too small)."""
-    from .linalg import solve_linear
-
+def _coordinate_min_poly(gb: list[CommPoly], var: int, nvars: int, spec: FieldSpec) -> list[Scalar] | None:
+    """Minimal polynomial of the coordinate var in the quotient by gb, from the
+    reduced powers of var; None when no dependence appears within 40 powers
+    (the variable is then transcendental or the cap too small)."""
     v = CommPoly.var(nvars, var, spec)
-    powers = [reduce_poly(CommPoly.const(nvars, one(spec)), gb)]
-    echelon: dict[Monomial, dict[Monomial, Scalar]] = {}
-
-    def insert(p: CommPoly) -> bool:
-        """Reduce against the echelon; False when dependent."""
-        vec = dict(p.terms)
-        while vec:
-            m = max(vec, key=_grlex_key)
-            row = echelon.get(m)
-            if row is None:
-                inv = vec[m].inverse()
-                echelon[m] = {k: inv * c for k, c in vec.items()}
-                return True
-            c = vec.pop(m)
-            for k, rc in row.items():
-                if k == m:
-                    continue
-                nc = vec.get(k, zero(spec)) - c * rc
-                if nc.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nc
-        return False
-
-    insert(powers[0])
-    for _ in range(cap):
-        powers.append(reduce_poly(powers[-1] * v, gb))
-        if not insert(powers[-1]):
-            monos: dict[Monomial, int] = {}
-            for p in powers:
-                for m in p.terms:
-                    monos.setdefault(m, len(monos))
-            width = len(monos)
-
-            def to_vec(p: CommPoly):
-                vv = [zero(spec)] * width
-                for m, c in p.terms.items():
-                    vv[monos[m]] = c
-                return vv
-
-            vecs = [to_vec(p) for p in powers]
-            cols = list(map(list, zip(*vecs[:-1])))
-            sol = solve_linear(cols, vecs[-1], spec)
-            if sol.particular is None:
-                raise ArithmeticError(f"dependent power of v{var} has no solution")
-            return [-c for c in sol.particular] + [one(spec)]
-    return None
+    return krylov_min_poly(
+        reduce_poly(CommPoly.const(nvars, one(spec)), gb),
+        lambda p: reduce_poly(p * v, gb),
+        spec,
+        entries=lambda p: p.terms.items(),
+        cap=40,
+    )
 
 
 def eliminate_small(system: list[CommPoly], max_deg: int = 4) -> SolveResult:
@@ -564,7 +522,7 @@ def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec, active: list[int]
                 [], False, f"positive-dimensional component, GB leads: {gbs}", [({}, gb)]
             )
         var = algebraic[-1]
-        mp = _min_poly_krylov(gb, var, nvars, spec)
+        mp = _coordinate_min_poly(gb, var, nvars, spec)
         if mp is None:
             gbs = "; ".join(repr(g) for g in gb)
             return SolveResult(
@@ -573,7 +531,7 @@ def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec, active: list[int]
         residue = "positive-dimensional component alongside isolated points"
     else:
         var = active[-1]
-        mp = _min_poly_krylov(gb, var, nvars, spec)
+        mp = _coordinate_min_poly(gb, var, nvars, spec)
         if mp is None:
             raise BoundExceeded(f"no minimal polynomial of v{var} within 40 powers")
     roots, split = univariate_roots(mp, spec)
@@ -659,8 +617,6 @@ def minors_ideal(K: list[list[CommPoly]]) -> list[CommPoly]:
 def sigma_at(relations: list[NcPoly], p: tuple[Scalar, ...]) -> tuple[Scalar, ...] | None:
     """Unique q with f(p, q) = 0 for all relations, or None when the solution
     space is not 1-dimensional (indeterminate)."""
-    from .linalg import kernel_basis
-
     amb = relations[0].ambient
     n = amb.n
     spec = amb.spec

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import Ambient, NcPoly, dehomogenize_poly, homogenize_poly, wild_homogenize_poly
+from .freealg import (
+    Ambient,
+    NcPoly,
+    _format_word,
+    dehomogenize_poly,
+    homogenize_poly,
+    wild_homogenize_poly,
+)
 from .galgebra import (
     GradedAlgebra,
     Presentation,
@@ -19,7 +26,7 @@ from .galgebra import (
     build,
     is_regular_normal_sequence,
 )
-from .linalg import rank
+from .linalg import coords_in_basis, rank
 from .scalars import Scalar
 
 
@@ -203,17 +210,8 @@ def localized_zero_part(A: GradedAlgebra, cert, i0: int, labels_prefix: str = "b
     wpow = A.nf(wpow)
     # bijection m -> m w^{i0} gives the change of basis A_{dloc} -> A_{2dloc}
     image_rows = [A.coords(NcPoly.monomial(amb, m) * wpow, 2 * dloc) for m in basis_words]
-    from .linalg import coords_in_basis, rank as _rank
-
-    if _rank(image_rows, spec) != b:
+    if rank(image_rows, spec) != b:
         raise NotRegularCertificate("right multiplication by w^i0 is not injective")
-
-    def express(p: NcPoly) -> list[Scalar]:
-        v = A.coords(p, 2 * dloc)
-        c = coords_in_basis(image_rows, v, spec)
-        if c is None:
-            raise NotStabilized(f"A_{2 * dloc} is not A_{dloc} * w^{i0}")
-        return c
 
     def nu_pow(p: NcPoly) -> NcPoly:
         out = p
@@ -221,17 +219,17 @@ def localized_zero_part(A: GradedAlgebra, cert, i0: int, labels_prefix: str = "b
             out = out.map_linear(cert.nu)
         return A.nf(out)
 
-    table = []
-    for m1 in basis_words:
-        row = []
-        p1 = NcPoly.monomial(amb, m1)
-        for m2 in basis_words:
-            p2 = nu_pow(NcPoly.monomial(amb, m2))
-            row.append(express(A.nf(p1 * p2)))
-        table.append(row)
+    twisted = [nu_pow(NcPoly.monomial(amb, m2)) for m2 in basis_words]
+    products = [
+        A.coords(A.nf(NcPoly.monomial(amb, m1) * p2), 2 * dloc)
+        for m1 in basis_words
+        for p2 in twisted
+    ]
+    coords = coords_in_basis(image_rows, products, spec)
+    if any(c is None for c in coords):
+        raise NotStabilized(f"A_{2 * dloc} is not A_{dloc} * w^{i0}")
+    table = [coords[k * b : (k + 1) * b] for k in range(b)]
     unit = A.coords(wpow, dloc)
-    from .freealg import _format_word
-
     labels = [_format_word(amb, m) for m in basis_words]
     return FiniteAlgebra(spec, labels, table, unit)
 

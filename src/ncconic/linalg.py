@@ -3,16 +3,20 @@
 Matrices are lists of rows, rows are lists of Scalar.  Row reduction uses
 plain Gaussian elimination with deterministic pivoting (leftmost column,
 topmost row), so kernels and echelon forms are reproducible across runs.
+Each question costs one reduction of its matrix; krylov_min_poly also takes
+sparse vectors, for quotient rings without a fixed finite basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Iterable
+from typing import TypeVar
 
 from .scalars import FieldMismatch, FieldSpec, Scalar, one, zero
 
 Vector = list[Scalar]
 Rows = list[Vector]
+V = TypeVar("V")
 
 
 def zero_vector(n: int, spec: FieldSpec) -> Vector:
@@ -102,56 +106,52 @@ def kernel_basis(rows: Rows, ncols: int, spec: FieldSpec) -> Rows:
     return basis
 
 
-@dataclass
-class LinearSolution:
-    particular: Vector | None  # None when inconsistent
-    kernel: Rows
-    rank: int
+def solve_linear(rows: Rows, rhs: list[Vector], spec: FieldSpec) -> list[Vector | None]:
+    """Solve M x = b exactly for each right-hand side b, by one rref of
+    [M | b_1 ... b_k]; one canonical particular solution (free variables 0)
+    per b, None where M x = b is inconsistent.
 
-
-def solve_linear(rows: Rows, rhs: Vector, spec: FieldSpec) -> LinearSolution:
-    """Solve M x = rhs exactly; canonical particular solution has free vars 0."""
+    Pivots are taken leftmost first, so the pivots in M do not depend on the
+    right-hand sides, and a pivot outside M sits in a row that is zero on M.
+    Column b_k is consistent iff it is zero in every such row; the rows with
+    a pivot in M then carry its solution, as in the rref of [M | b_k] alone."""
     if not rows:
-        if any(not b.is_zero() for b in rhs):
-            return LinearSolution(None, [], 0)
-        return LinearSolution([], [], 0)
+        return [[] if is_zero_vector(b) else None for b in rhs]
+    if any(len(b) != len(rows) for b in rhs):
+        raise ValueError("right-hand side length differs from the number of rows")
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
+    aug = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
     red, pivots = rref(aug, spec)
-    if ncols in pivots:
-        return LinearSolution(None, kernel_basis(rows, ncols, spec), rank(rows, spec))
-    x = zero_vector(ncols, spec)
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return LinearSolution(x, kernel_basis(rows, ncols, spec), len(pivots))
+    r0 = sum(1 for pc in pivots if pc < ncols)
+    out: list[Vector | None] = []
+    for k in range(ncols, ncols + len(rhs)):
+        if any(not row[k].is_zero() for row in red[r0:]):
+            out.append(None)
+            continue
+        x = zero_vector(ncols, spec)
+        for i in range(r0):
+            x[pivots[i]] = red[i][k]
+        out.append(x)
+    return out
 
 
 def in_span(rows: Rows, v: Vector, spec: FieldSpec) -> bool:
     """True iff v lies in the row space of rows."""
-    if is_zero_vector(v):
-        return True
-    if not rows:
-        return False
-    base = rank(rows, spec)
-    return rank(rows + [v], spec) == base
+    red, pivots = rref(rows, spec)
+    return is_zero_vector(reduce_by_echelon(v, red, pivots))
 
 
 def span_equal(rows_a: Rows, rows_b: Rows, spec: FieldSpec) -> bool:
-    ra = rank(rows_a, spec) if rows_a else 0
-    rb = rank(rows_b, spec) if rows_b else 0
-    if ra != rb:
-        return False
-    both = rank(rows_a + rows_b, spec) if (rows_a or rows_b) else 0
-    return both == ra
+    """True iff the two row spaces agree: their rrefs, which are canonical, are equal."""
+    return rref(rows_a, spec)[0] == rref(rows_b, spec)[0]
 
 
-def coords_in_basis(basis_rows: Rows, v: Vector, spec: FieldSpec) -> Vector | None:
-    """Coordinates of v in the given (independent) row basis, or None."""
+def coords_in_basis(basis_rows: Rows, vs: list[Vector], spec: FieldSpec) -> list[Vector | None]:
+    """Coordinates of each v in the given (independent) row basis, or None."""
     if not basis_rows:
-        return [] if is_zero_vector(v) else None
+        return [[] if is_zero_vector(v) else None for v in vs]
     cols = list(map(list, zip(*basis_rows)))  # transpose: columns are basis vectors
-    sol = solve_linear(cols, v, spec)
-    return sol.particular
+    return solve_linear(cols, vs, spec)
 
 
 def complete_to_basis(v: Vector, spec: FieldSpec) -> tuple[Rows, Rows]:
@@ -161,13 +161,55 @@ def complete_to_basis(v: Vector, spec: FieldSpec) -> tuple[Rows, Rows]:
     n = len(v)
     if is_zero_vector(v):
         raise ValueError("cannot complete the zero vector to a basis")
+    # columns v, e_0, ..., e_{n-1}: the pivot columns of the rref are v and the
+    # first units independent of it, and column k+1 holds the coordinates of
+    # e_k in those pivot columns
     units = [[one(spec) if i == k else zero(spec) for i in range(n)] for k in range(n)]
-    B: Rows = []
-    for e in units:
-        if len(B) == n - 1:
-            break
-        if rank(B + [e, v], spec) == len(B) + 2:
-            B.append(e)
-    B.append(v)
-    cols = list(map(list, zip(*B)))
-    return B, [solve_linear(cols, e, spec).particular for e in units]
+    red, pivots = rref([[v[i]] + units[i] for i in range(n)], spec)
+    B = [units[c - 1] for c in pivots[1:]] + [v]
+    return B, [[row[k + 1] for row in red[1:]] + [red[0][k + 1]] for k in range(n)]
+
+
+def krylov_min_poly(
+    v: V,
+    step: Callable[[V], V],
+    spec: FieldSpec,
+    entries: Callable[[V], Iterable[tuple[Hashable, Scalar]]] = enumerate,
+    cap: int | None = None,
+) -> list[Scalar] | None:
+    """Minimal polynomial of v under the linear map step: the monic p of least
+    degree with p(step)(v) = 0, as coefficients from degree 0 up; None when
+    no power up to degree cap is dependent.
+
+    entries(u) lists the (coordinate, value) pairs of a vector, so sparse
+    vectors over an open-ended set of mutually comparable coordinates work
+    as well as dense lists.  Each new power is reduced against a triangular
+    echelon (each row's pivot is its largest coordinate) whose rows record
+    their combination of powers, so the first dependent power yields p."""
+    z = zero(spec)
+    echelon: dict[Hashable, tuple[dict, Vector]] = {}  # pivot -> (row, combination)
+    power = v
+    degree = 0
+    while True:
+        row = {k: c for k, c in entries(power) if not c.is_zero()}
+        comb = [z] * degree + [one(spec)]
+        while row and (pivot := max(row)) in echelon:
+            c = row.pop(pivot)
+            erow, ecomb = echelon[pivot]
+            for k, rc in erow.items():
+                nc = row.get(k, z) - c * rc
+                if nc.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = nc
+            for i, rc in enumerate(ecomb):
+                if not rc.is_zero():
+                    comb[i] = comb[i] - c * rc
+        if not row:
+            return comb
+        inv = row.pop(pivot).inverse()
+        echelon[pivot] = ({k: x * inv for k, x in row.items()}, [x * inv for x in comb])
+        if degree == cap:
+            return None
+        power = step(power)
+        degree += 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .freealg import Ambient, MonomialOrder, NcPoly
 from .galgebra import GradedAlgebra, Presentation
-from .linalg import Rows, in_span, is_zero_vector, kernel_basis, rank, reduce_by_echelon, rref
+from .linalg import Rows, in_span, is_zero_vector, kernel_basis, reduce_by_echelon, rref
 from .scalars import Scalar, zero
 
 
@@ -60,9 +60,9 @@ class QuadraticPresentation:
                 raise ValueError(f"relation {r} is not of degree exactly 2")
         spec = self.ambient.spec
         rows = [quad_vector(r) for r in self.presentation.relations]
-        if rows and rank(rows, spec) != len(rows):
+        red, _ = rref(rows, spec)
+        if len(red) != len(rows):
             # keep an independent generating set, echelonized
-            red, _ = rref(rows, spec)
             self.presentation = Presentation(
                 self.ambient, [quad_poly(self.ambient, v) for v in red], self.presentation.label
             )

@@ -10,7 +10,7 @@ the overlap word as tie-break, which makes completion reproducible.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .freealg import Ambient, MonomialOrder, NcPoly, Word
 from .scalars import zero
@@ -31,7 +31,8 @@ class RewriteSystem:
     rules: dict[Word, NcPoly]
     truncation: int
     confluent_up_to: int
-    overflow: list[NcPoly] = field(default_factory=list)
+    overflow: list[NcPoly]
+    leads_by_len: dict[int, set[Word]]  # the leads of rules, by length
 
     def leads(self) -> list[Word]:
         return sorted(self.rules, key=self.order.key)
@@ -47,6 +48,30 @@ def _find_redex(w: Word, leads_by_len: dict[int, set[Word]]) -> tuple[int, Word]
     return None
 
 
+def _reduce(rs: RewriteSystem | _Engine, f: NcPoly) -> NcPoly:
+    """Normal form of f under the rules of rs (a finished system or one being
+    completed): rewrite the largest reducible word until none is left."""
+    work = dict(f.terms)
+    out: dict[Word, object] = {}
+    z = zero(rs.ambient.spec)
+    key = rs.order.key
+    while work:
+        w = max(work, key=key)
+        c = work.pop(w)
+        if c.is_zero():
+            continue
+        m = _find_redex(w, rs.leads_by_len)
+        if m is None:
+            out[w] = out.get(w, z) + c
+            continue
+        pos, lead = m
+        a, b = w[:pos], w[pos + len(lead) :]
+        for v, cv in rs.rules[lead].terms.items():
+            nw = a + v + b
+            work[nw] = work.get(nw, z) + c * cv
+    return NcPoly(rs.ambient, out)
+
+
 class _Engine:
     def __init__(self, ambient: Ambient, order: MonomialOrder, D: int):
         self.ambient = ambient
@@ -57,28 +82,6 @@ class _Engine:
         self.overlap_heap: list = []
         self.counter = 0
         self.overflow: list[NcPoly] = []
-
-    def reduce(self, f: NcPoly) -> NcPoly:
-        spec = self.ambient.spec
-        work = dict(f.terms)
-        out: dict[Word, object] = {}
-        z = zero(spec)
-        key = self.order.key
-        while work:
-            w = max(work, key=key)
-            c = work.pop(w)
-            if c.is_zero():
-                continue
-            m = _find_redex(w, self.leads_by_len)
-            if m is None:
-                out[w] = out.get(w, z) + c
-                continue
-            pos, lead = m
-            a, b = w[:pos], w[pos + len(lead) :]
-            for v, cv in self.rules[lead].terms.items():
-                nw = a + v + b
-                work[nw] = work.get(nw, z) + c * cv
-        return NcPoly(self.ambient, out)
 
     def _remove_rule(self, lead: Word):
         del self.rules[lead]
@@ -100,7 +103,7 @@ class _Engine:
         heapq.heappush(self.overlap_heap, (len(w), self.order.key(w), self.counter, u, v, a, b))
 
     def add(self, f: NcPoly):
-        f = self.reduce(f)
+        f = _reduce(self, f)
         if f.is_zero():
             return
         if f.degree() > self.D:
@@ -131,7 +134,7 @@ class _Engine:
             self.add(left - right)
         # canonicalize: reducers in normal form w.r.t. the final rule set
         for lead in list(self.rules):
-            self.rules[lead] = self.reduce(self.rules[lead])
+            self.rules[lead] = _reduce(self, self.rules[lead])
 
 
 def _mul_word(p: NcPoly, left: Word = (), right: Word = ()) -> NcPoly:
@@ -182,7 +185,7 @@ def complete(
         eng.add(r)
     eng.run()
     confluent = D if not eng.overflow else min(D, min(f.degree() for f in eng.overflow) - 1)
-    return RewriteSystem(ambient, order, eng.rules, D, confluent, eng.overflow)
+    return RewriteSystem(ambient, order, eng.rules, D, confluent, eng.overflow, eng.leads_by_len)
 
 
 def normal_form(rs: RewriteSystem, f: NcPoly) -> NcPoly:
@@ -190,27 +193,19 @@ def normal_form(rs: RewriteSystem, f: NcPoly) -> NcPoly:
         raise DegreeExceedsTruncation(
             f"degree {f.degree()} exceeds confluent range {rs.confluent_up_to}"
         )
-    eng = _Engine(rs.ambient, rs.order, rs.truncation)
-    eng.rules = rs.rules
-    eng.leads_by_len = {}
-    for lead in rs.rules:
-        eng.leads_by_len.setdefault(len(lead), set()).add(lead)
-    return eng.reduce(f)
+    return _reduce(rs, f)
 
 
 def graded_basis(rs: RewriteSystem, d: int) -> list[Word]:
     """All degree-d words with no lead as subword, ascending in the order."""
     if d > rs.confluent_up_to:
         raise DegreeExceedsTruncation(f"degree {d} exceeds {rs.confluent_up_to}")
-    leads_by_len: dict[int, set[Word]] = {}
-    for lead in rs.rules:
-        leads_by_len.setdefault(len(lead), set()).add(lead)
     n = rs.ambient.n
     letters = sorted(range(n), key=lambda i: rs.order.precedence[i])
     out: list[Word] = []
 
     def ok_suffix(w: Word) -> bool:
-        for ln, leads in leads_by_len.items():
+        for ln, leads in rs.leads_by_len.items():
             if ln <= len(w) and w[len(w) - ln :] in leads:
                 return False
         return True

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from ncconic import dataset, elements, findim
+from ncconic import dataset, elements, findim, homog, linalg
 
 EXPECTED_ROWS = {
     "1": 10,
@@ -67,27 +67,27 @@ def test_skip_rows_report_reasons():
         assert len(res) == 1 and res[0].status == "SKIP" and res[0].detail
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name under every ncconic module name that binds it; the
+    returned list grows by one entry per call."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("ncconic") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 def test_each_artifact_is_computed_once(monkeypatch):
-    # the degree-1 search, wrapped under every module name that binds it
-    search = elements.find_normal_degree1
-    searched = []
-
-    def counted_search(A):
-        searched.append(A)
-        return search(A)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("ncconic") and getattr(mod, "find_normal_degree1", None) is search:
-            monkeypatch.setattr(mod, "find_normal_degree1", counted_search)
+    searched = _count_calls(monkeypatch, elements, "find_normal_degree1")
+    strong = _count_calls(monkeypatch, homog, "is_strongly_regular_normal")
     # the body of the Frobenius test, behind is_frobenius's per-algebra memo
-    frobenius = findim._frobenius_form
-    tested = []
-
-    def counted_frobenius(A):
-        tested.append(A)
-        return frobenius(A)
-
-    monkeypatch.setattr(findim, "_frobenius_form", counted_frobenius)
+    tested = _count_calls(monkeypatch, findim, "_frobenius_form")
     row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
     results = {r.check: r.status for r in dataset.verify_row(row)}
     # compute_C, the rz columns and rehomogenize_dual_span all use the one search
@@ -96,3 +96,18 @@ def test_each_artifact_is_computed_once(monkeypatch):
     # C_frobenius and classify share one Frobenius test of C(A)
     assert results["C_frobenius"] == "PASS" and results["class"] == "PASS"
     assert len(tested) == 1
+    # a table-2 row tests strong regularity once; nabla reuses the verdict
+    row = next(r for r in dataset.load_rows() if r.table == "2")
+    results = {r.check: r.status for r in dataset.verify_row(row)}
+    assert results["strongly_regular_normal"] == "PASS"
+    assert results["delta_nabla_roundtrip"] == "PASS"
+    assert len(strong) == 1
+
+
+def test_row_reductions_are_bounded(monkeypatch):
+    # one rref per linear-algebra question (75 on this row); solves that also
+    # compute an unused kernel, or reduce once per right-hand side, exceed it
+    reductions = _count_calls(monkeypatch, linalg, "rref")
+    row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
+    assert all(r.status == "PASS" for r in dataset.verify_row(row))
+    assert len(reductions) <= 80

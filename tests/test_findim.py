@@ -134,7 +134,7 @@ def _random_basis_change(A: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
     basis = M
 
     def to_new(v):
-        return coords_in_basis(basis, v, spec)
+        return coords_in_basis(basis, [v], spec)[0]
 
     table = []
     for a in range(n):

@@ -1,18 +1,22 @@
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from ncconic.linalg import (
     in_span,
     is_zero_vector,
     kernel_basis,
+    krylov_min_poly,
     mat_vec,
     rank,
     rref,
     solve_linear,
     span_equal,
+    zero_vector,
 )
-from ncconic.scalars import QQ, Scalar, one, zero
+from ncconic.scalars import QI, QQ, FieldSpec, Scalar, one, zero
 
 
 def S(n):
@@ -30,10 +34,7 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 def test_identity_solve():
     m = [[one(QQ) if i == j else zero(QQ) for j in range(3)] for i in range(3)]
     rhs = [one(QQ), zero(QQ), zero(QQ)]
-    sol = solve_linear(m, rhs, QQ)
-    assert sol.particular == rhs
-    assert sol.kernel == []
-    assert sol.rank == 3
+    assert solve_linear(m, [rhs], QQ) == [rhs]
 
 
 def test_rank_one_kernel():
@@ -61,9 +62,9 @@ def test_solve_consistency(m, data):
     ncols = len(m[0])
     x = data.draw(st.lists(small.map(S), min_size=ncols, max_size=ncols))
     rhs = mat_vec(m, x, QQ)
-    sol = solve_linear(m, rhs, QQ)
-    assert sol.particular is not None
-    assert mat_vec(m, sol.particular, QQ) == rhs
+    [sol] = solve_linear(m, [rhs], QQ)
+    assert sol is not None
+    assert mat_vec(m, sol, QQ) == rhs
 
 
 @given(m=matrices)
@@ -75,3 +76,99 @@ def test_rref_idempotent_and_span(m):
     assert span_equal(m, red, QQ)
     for row in red:
         assert in_span(m, row, QQ)
+
+
+# -- differential checks against sympy over Q, Q(i) and Q(sqrt 2) ------------
+
+SQRT2 = FieldSpec(2)
+
+
+def _to_sympy(c: Scalar):
+    a = sympy.Rational(c.a.numerator, c.a.denominator)
+    if c.spec.is_rational:
+        return a
+    return a + sympy.Rational(c.b.numerator, c.b.denominator) * sympy.sqrt(c.spec.d)
+
+
+def _domain(spec: FieldSpec):
+    if spec.is_rational:
+        return sympy.QQ
+    return sympy.QQ.algebraic_field(sympy.sqrt(spec.d))
+
+
+def _scalars(spec: FieldSpec):
+    if spec.is_rational:
+        return small.map(S)
+    return st.tuples(small, small).map(
+        lambda ab: Scalar(Fraction(ab[0]), Fraction(ab[1]), spec)
+    )
+
+
+def _matrix(spec: FieldSpec, nrows, ncols):
+    row = st.lists(_scalars(spec), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+@given(data=st.data(), spec=st.sampled_from([QQ, QI, SQRT2]))
+@settings(max_examples=30, deadline=None)
+def test_rank_matches_sympy(data, spec):
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    m = data.draw(_matrix(spec, nrows, ncols))
+    # low rank is the interesting case: append combinations of drawn rows
+    for _ in range(data.draw(st.integers(0, 2))):
+        a, b = data.draw(_scalars(spec)), data.draw(_scalars(spec))
+        m.append([a * x + b * y for x, y in zip(m[0], m[-1])])
+    dm = DomainMatrix.from_Matrix(sympy.Matrix([[_to_sympy(c) for c in r] for r in m]))
+    assert rank(m, spec) == dm.convert_to(_domain(spec)).rank()
+
+
+@given(data=st.data(), spec=st.sampled_from([QQ, QI]))
+@settings(max_examples=30, deadline=None)
+def test_solve_many_rhs_matches_sympy(data, spec):
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    m = data.draw(_matrix(spec, nrows, ncols))
+    if nrows > 1 and data.draw(st.booleans()):
+        m[-1] = [x + y for x, y in zip(m[0], m[-1])] if nrows > 2 else list(m[0])
+    rhs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(_scalars(spec), min_size=ncols, max_size=ncols))
+            rhs.append(mat_vec(m, x, spec))
+        else:
+            rhs.append(data.draw(st.lists(_scalars(spec), min_size=nrows, max_size=nrows)))
+    got = solve_linear(m, rhs, spec)
+    assert len(got) == len(rhs)
+    M = sympy.Matrix([[_to_sympy(c) for c in r] for r in m])
+    for b, x in zip(rhs, got):
+        try:
+            sol, params = M.gauss_jordan_solve(sympy.Matrix([_to_sympy(c) for c in b]))
+        except ValueError:
+            assert x is None
+            continue
+        assert x is not None
+        want = sol.subs({p: 0 for p in params})
+        assert all(sympy.expand(_to_sympy(c) - w) == 0 for c, w in zip(x, want))
+
+
+@given(data=st.data(), spec=st.sampled_from([QQ, QI, SQRT2]))
+@settings(max_examples=30, deadline=None)
+def test_krylov_min_poly(data, spec):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(_matrix(spec, n, n))
+    v = data.draw(st.lists(_scalars(spec), min_size=n, max_size=n))
+    p = krylov_min_poly(v, lambda u: mat_vec(m, u, spec), spec)
+    deg = len(p) - 1
+    assert p[-1] == one(spec)
+    powers = [v]
+    for _ in range(deg):
+        powers.append(mat_vec(m, powers[-1], spec))
+    pv = zero_vector(n, spec)
+    for c, u in zip(p, powers):
+        pv = [a + c * b for a, b in zip(pv, u)]
+    assert is_zero_vector(pv)
+    assert deg == 0 or rank(powers[:deg], spec) == deg
+    # no dependence among the powers below deg: a cap of deg - 1 finds none
+    if deg > 0:
+        assert krylov_min_poly(v, lambda u: mat_vec(m, u, spec), spec, cap=deg - 1) is None
