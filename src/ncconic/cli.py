@@ -16,7 +16,7 @@ import sys
 from . import dataset
 from .elements import center_degree, find_normal_degree1, normalize_check, regularity_check
 from .findim import FiniteAlgebra, classify, from_presentation, is_frobenius
-from .freealg import MonomialOrder, NcPoly
+from .freealg import NcPoly
 from .galgebra import GradedAlgebra, Presentation, build
 from .geometry import k_matrix, minors_ideal, sigma_at, solve_projective
 from .homog import (
@@ -25,7 +25,14 @@ from .homog import (
     homogenize_presentation,
 )
 from .cmap import compute_C, delta, nabla
-from .presfile import PresSyntaxError, PresentationFile, parse, parse_poly, print_poly
+from .presfile import (
+    PresSyntaxError,
+    PresentationFile,
+    parse,
+    parse_poly,
+    print_poly,
+    print_presentation,
+)
 from .quadratic import QuadraticPresentation, quadratic_dual
 
 
@@ -93,10 +100,7 @@ def cmd_dual(args, out) -> int:
     pf = _load(args.file)
     q = QuadraticPresentation(Presentation(pf.ambient, pf.relations, pf.label))
     d = quadratic_dual(q)
-    out.write(f"field: {pf.spec}\n")
-    out.write("gens: " + " ".join(pf.ambient.names) + "\n")
-    for r in d.presentation.relations:
-        out.write("rel: " + print_poly(r) + "\n")
+    out.write(print_presentation(PresentationFile(pf.spec, pf.ambient, d.presentation.relations)))
     return 0
 
 
@@ -127,10 +131,7 @@ def cmd_homogenize(args, out) -> int:
     S = Presentation(pf.ambient, pf.relations, pf.label)
     F = RelationSequence(pf.ambient, pf.elems)
     H = homogenize_presentation(S, F)
-    out.write(f"field: {pf.spec}\n")
-    out.write("gens: " + " ".join(H.ambient.names) + "\n")
-    for r in H.relations:
-        out.write("rel: " + r.format(MonomialOrder.default(H.ambient.n)) + "\n")
+    out.write(print_presentation(PresentationFile(pf.spec, H.ambient, H.relations)))
     return 0
 
 
@@ -174,10 +175,9 @@ def cmd_nabla(args, out) -> int:
     S = build(Presentation(pf.ambient, pf.relations, pf.label), args.max_deg)
     F = RelationSequence(pf.ambient, pf.elems)
     conic = nabla(S, F, args.max_deg)
-    out.write(f"field: {pf.spec}\n")
-    out.write("gens: " + " ".join(conic.ambient.names) + "\n")
-    for r in conic.presentation.relations:
-        out.write("rel: " + r.format(MonomialOrder.default(conic.ambient.n)) + "\n")
+    out.write(
+        print_presentation(PresentationFile(pf.spec, conic.ambient, conic.presentation.relations))
+    )
     return 0
 
 

@@ -2,9 +2,14 @@
 
 normalize_check solves x_i w = w nu(x_i) for the normalizing matrix nu and
 also requires the mirror inclusion w x_i in A_1 w, so a certificate witnesses
-the two-sided equality A_1 w = w A_1 in degree deg(w)+1.  regularity_check
-combines an annihilator scan, the quotient Hilbert test, and (for degree-1
-elements of conic duals) the definitive dual-quotient certificate.
+the two-sided equality A_1 w = w A_1 in degree deg(w)+1, hence A_e w = w A_e
+in every degree.  For such w the ideal (w) is w A, so regularity up to the
+truncation is one test, the quotient Hilbert identity H_{A/(w)} = (1 - t^d) H_A
+(galgebra.hilbert_drop): it fails exactly in the degrees m where w has an
+annihilator of degree m - d, and left and right annihilators occur together.
+No truncated prefix sees past the truncation, so regularity_check keeps the
+dual-quotient certificate, which decides degree-1 elements of conic duals in
+all degrees.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .freealg import NcPoly
-from .galgebra import GradedAlgebra, expected_quotient_dims, quotient
+from .galgebra import GradedAlgebra, hilbert_drop
 from .geometry import (
     CommPoly,
     SolveResult,
@@ -96,21 +101,6 @@ def normalize_check(A: GradedAlgebra, w: NcPoly) -> NormalCertificate | None:
     return NormalCertificate(wn, nu, central=False)
 
 
-def _annihilator_scan(A: GradedAlgebra, wn: NcPoly, d: int) -> tuple[int, str] | None:
-    """(degree, side) of a nonzero annihilator of w, or None."""
-    amb = A.ambient
-    spec = amb.spec
-    for e in range(1, A.truncation - d + 1):
-        basis_e = A.basis(e)
-        left_rows = [A.coords(NcPoly.monomial(amb, b) * wn, e + d) for b in basis_e]
-        if rank(left_rows, spec) < len(basis_e):
-            return e, "left"  # g w = 0 for some g != 0
-        right_rows = [A.coords(wn * NcPoly.monomial(amb, b), e + d) for b in basis_e]
-        if rank(right_rows, spec) < len(basis_e):
-            return e, "right"
-    return None
-
-
 def _conic_dual_quotient_cert(A: GradedAlgebra, wn: NcPoly) -> tuple[bool, str]:
     """Degree-1 regularity certificate for duals of conics: the quadratic
     quotient by w must dualize to a single relation a x^2 + b xy + c yx + d y^2
@@ -142,33 +132,31 @@ def _conic_dual_quotient_cert(A: GradedAlgebra, wn: NcPoly) -> tuple[bool, str]:
 
 
 def regularity_check(A: GradedAlgebra, cert: NormalCertificate) -> NormalCertificate:
-    """Fill in the regular field: annihilator scan, quotient Hilbert test, and
-    the dual-quotient certificate when A looks like a conic dual."""
+    """Fill in the regular field of a normal certificate.
+
+    The quotient Hilbert identity H_{A/(w)} = (1 - t^d) H_A up to the
+    truncation D decides regularity there: w is normal, so A_e w = w A_e and
+    (A/(w))_m = A_m / w A_{m-d}, and the identity in degree m says that
+    multiplication by w (on either side) is injective on A_{m-d}.  A mismatch
+    is "no", and its first degree m puts an annihilator in degree m - d.  A
+    match says nothing past D, so for degree-1 elements of conic duals the
+    dual-quotient certificate decides all degrees ("unknown" when it fails):
+    the degenerate ad = bc quotient has the same prefix 1, 2, 1, 0."""
     wn = cert.w
-    d = wn.degree()
-    ann = _annihilator_scan(A, wn, d)
-    if ann is not None:
+    test = hilbert_drop(A, wn)
+    cert.evidence["hilbert"] = {
+        "expected": test.expected,
+        "actual": test.actual,
+        "first_mismatch": test.first_mismatch,
+    }
+    if test.first_mismatch is not None:
         cert.regular = "no"
-        cert.evidence["annihilator"] = ann
-        return cert
-    D = A.truncation
-    quo = quotient(A, wn)
-    expected = expected_quotient_dims(A.dims, d, D)
-    actual = quo.dims[: D + 1]
-    hilbert_ok = expected == actual
-    cert.evidence["hilbert"] = {"expected": expected, "actual": actual}
-    applicable = d == 1 and A.dim(1) == 3 and A.stable_from() == (2, 4)
-    if applicable:
-        ok69, why = _conic_dual_quotient_cert(A, wn)
+    elif wn.degree() == 1 and A.dim(1) == 3 and A.stable_from() == (2, 4):
+        ok, why = _conic_dual_quotient_cert(A, wn)
         cert.evidence["dual_quotient"] = why
-        if hilbert_ok and ok69:
-            cert.regular = "yes"
-        elif not ok69 and not hilbert_ok:
-            cert.regular = "no"
-        else:
-            cert.regular = "unknown"
-        return cert
-    cert.regular = "yes" if hilbert_ok else "no"
+        cert.regular = "yes" if ok else "unknown"
+    else:
+        cert.regular = "yes"
     return cert
 
 
@@ -315,8 +303,6 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
             complete = False
             if not nonzero:
                 candidates.append(chart_point((z,) * n, chart))
-                if residue is None:
-                    residue = f"chart {chart}: normality conditions vanish identically"
             if not res.residual_ideals:
                 # incompleteness from an unsplit eliminant: points outside the
                 # field could still be regular

@@ -1,9 +1,10 @@
 """Presented graded algebras A = k<x_1,...,x_n>/I with Hilbert prefixes.
 
 A GradedAlgebra couples a presentation with a degree-truncated confluent
-rewrite system, cached graded bases, and the dimension prefix.  The
-regular-normal-sequence test is the coefficientwise Hilbert identity
-H_{A/I_F} = prod(1 - t^{d_i}) * H_A up to the truncation degree.
+rewrite system, cached graded bases, and the dimension prefix.  hilbert_drop
+is the one regularity test for normal elements, the coefficientwise identity
+H_{A/(f)} = (1 - t^d) * H_A up to the truncation degree; the
+regular-normal-sequence test applies it element by element.
 """
 
 from __future__ import annotations
@@ -113,10 +114,26 @@ def quotient(A: GradedAlgebra, fs: NcPoly | list[NcPoly], D: int | None = None) 
     return build(A.presentation.with_extra(fs), D or A.rs.truncation, A.rs.order)
 
 
-def expected_quotient_dims(dims: list[int], d: int, D: int) -> list[int]:
-    """Hilbert prefix up to degree D of A/(w) for a regular normal w of degree
-    d: the coefficients of (1 - t^d) * H_A."""
-    return [dims[m] - (dims[m - d] if m >= d else 0) for m in range(D + 1)]
+@dataclass
+class HilbertDrop:
+    """A/(f) with its Hilbert prefix up to the truncation D of A, and the
+    prefix (1 - t^d) * H_A that a regular normal f of degree d gives."""
+
+    quotient: GradedAlgebra
+    expected: list[int]
+    actual: list[int]
+    first_mismatch: int | None  # None when the prefixes agree
+
+
+def hilbert_drop(A: GradedAlgebra, f: NcPoly) -> HilbertDrop:
+    """The quotient Hilbert test of a homogeneous f against A: for normal f
+    the prefixes agree iff f has no annihilator of degree <= D - deg(f)."""
+    D, d = A.truncation, f.degree()
+    quo = quotient(A, f)
+    expected = [A.dims[m] - (A.dims[m - d] if m >= d else 0) for m in range(D + 1)]
+    actual = quo.dims[: D + 1]
+    mismatch = next((m for m in range(D + 1) if expected[m] != actual[m]), None)
+    return HilbertDrop(quo, expected, actual, mismatch)
 
 
 @dataclass
@@ -164,12 +181,12 @@ def is_regular_normal_sequence(S: GradedAlgebra, elems: list[NcPoly]) -> Sequenc
             verdicts.append(ElementVerdict(f, d, True, False, [], current.dims, 0))
             continue
         cert = normalize_check(current, img)
-        nxt = quotient(current, f)
-        expected = expected_quotient_dims(current.dims, d, D)
-        actual = nxt.dims[: D + 1]
-        mismatch = next((m for m in range(D + 1) if expected[m] != actual[m]), None)
+        test = hilbert_drop(current, f)
+        mismatch = test.first_mismatch
         verdicts.append(
-            ElementVerdict(f, d, cert is not None, mismatch is None, expected, actual, mismatch)
+            ElementVerdict(
+                f, d, cert is not None, mismatch is None, test.expected, test.actual, mismatch
+            )
         )
-        current = nxt
+        current = test.quotient
     return SequenceVerdict(verdicts, D)

@@ -596,22 +596,13 @@ def k_matrix(relations: list[NcPoly]) -> list[list[CommPoly]]:
     return K
 
 
-def _det3(rows: list[list[CommPoly]]) -> CommPoly:
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def minors_ideal(K: list[list[CommPoly]]) -> list[CommPoly]:
     """The 3x3 minors, one per deleted column, deleting the last column first
     (frozen to reproduce the worked rank-drop example verbatim)."""
     ncols = len(K[0])
-    out = []
-    for t in range(ncols - 1, -1, -1):
-        sub = [[K[r][c] for c in range(ncols) if c != t] for r in range(3)]
-        out.append(_det3(sub))
-    return out
+    cols = [[row[c] for row in K[:3]] for c in range(ncols)]
+    combos = [tuple(c for c in range(ncols) if c != t) for t in range(ncols - 1, -1, -1)]
+    return pool_minors(cols, combos)
 
 
 def sigma_at(relations: list[NcPoly], p: tuple[Scalar, ...]) -> tuple[Scalar, ...] | None:

@@ -221,7 +221,7 @@ def localized_zero_part(A: GradedAlgebra, cert, i0: int, labels_prefix: str = "b
 
     twisted = [nu_pow(NcPoly.monomial(amb, m2)) for m2 in basis_words]
     products = [
-        A.coords(A.nf(NcPoly.monomial(amb, m1) * p2), 2 * dloc)
+        A.coords(NcPoly.monomial(amb, m1) * p2, 2 * dloc)
         for m1 in basis_words
         for p2 in twisted
     ]

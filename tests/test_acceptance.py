@@ -13,20 +13,20 @@ from pathlib import Path
 import pytest
 
 from ncconic import dataset
-from ncconic.findim import FiniteAlgebra, classify, from_presentation, is_frobenius
+from ncconic.findim import classify, from_presentation
 from ncconic.freealg import (
     Ambient,
     NcPoly,
     dehomogenize_poly,
     homogenize_poly,
 )
-from ncconic.galgebra import Presentation, build
-from ncconic.geometry import k_matrix, minors_ideal, sigma_at, solve_projective
+from ncconic.galgebra import Presentation
+from ncconic.geometry import k_matrix, minors_ideal, sigma_at
 from ncconic.linalg import span_equal
 from ncconic.presfile import parse_poly
 from ncconic.quadratic import QuadraticPresentation, quad_vector, quadratic_dual
 from ncconic.rewrite import complete, graded_basis, normal_form
-from ncconic.scalars import QQ, Scalar, one, zero
+from ncconic.scalars import QQ, Scalar, zero
 
 CONIC_TABLES = sorted(dataset.CONIC_TABLES, key=int)
 GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_report.txt"

@@ -15,7 +15,7 @@ from ncconic.homog import RelationSequence
 from ncconic.linalg import span_equal
 from ncconic.presfile import parse_poly
 from ncconic.quadratic import QuadraticPresentation, dual_element, quad_vector
-from ncconic.scalars import FieldSpec, QI, QQ
+from ncconic.scalars import FieldSpec, QQ
 
 AMB = Ambient(("x", "y", "z"), QQ)
 

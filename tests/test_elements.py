@@ -1,4 +1,4 @@
-import pytest
+from collections import Counter
 
 from ncconic.elements import (
     central_degree1_search,
@@ -87,7 +87,50 @@ def test_not_regular_square():
     assert cert is not None
     cert = regularity_check(A, cert)
     assert cert.regular == "no"
-    assert "annihilator" in cert.evidence
+    # (1 - t) * (1, 2, 2, ...) against k[y]: x * x = 0 shows up in degree 2
+    hilbert = cert.evidence["hilbert"]
+    assert hilbert["expected"] == [1, 1, 0, 0, 0, 0]
+    assert hilbert["actual"] == [1, 1, 1, 1, 1, 1]
+    assert hilbert["first_mismatch"] == 2
+
+
+def _annihilated(A, w) -> bool:
+    """Direct rank test: some nonzero g of degree 1..D-d has g w = 0 or w g = 0."""
+    d = w.degree()
+    for e in range(1, A.truncation - d + 1):
+        words = [NcPoly.monomial(A.ambient, b) for b in A.basis(e)]
+        left = [A.coords(g * w, e + d) for g in words]
+        right = [A.coords(w * g, e + d) for g in words]
+        if min(rank(left, A.ambient.spec), rank(right, A.ambient.spec)) < len(words):
+            return True
+    return False
+
+
+def test_regularity_matches_direct_rank_test():
+    amb = Ambient(("x", "y"), QQ)
+    x, y = NcPoly.generator(amb, 0), NcPoly.generator(amb, 1)
+    certs = []
+    for A, w in [
+        (build(Presentation(amb, [x * y - y * x, x * x]), 5), x),
+        (build(Presentation(amb, [x * y - y * x]), 5), x),
+        (build(Presentation(AMB, [X * Y + Y * X, Y * Z - Z * Y, Z * X - X * Z]), 5), X * Y),
+        (build(Presentation(AMB, [X * Y + Y * X, Y * Z - Z * Y, Z * X - X * Z, X * X]), 5), X),
+    ]:
+        certs.append((A, regularity_check(A, normalize_check(A, w))))
+    for texts in [
+        ["x*y + y*x", "y*z - z*y", "z*x - x*z", "x^2"],
+        ["x*y + y*x", "y*z - z*y - x^2 - y^2 + 2 x*y", "z*x + x*z - 2 x^2", "x^2"],
+        ["2 x*y - z*x + y*z", "2 y*x - x*z + z*y", "x^2 + y^2", "x*y + y*x + z^2"],
+        ["x*y - y*x", "y*z - z*y", "z*x - x*z", "x^2"],
+    ]:
+        dual = dual_algebra([parse_poly(t, AMB) for t in texts], D=5)
+        certs += [(dual, c) for c in find_normal_degree1(dual).certificates]
+    verdicts = Counter()
+    for A, cert in certs:
+        annihilated = _annihilated(A, cert.w)
+        assert cert.regular == ("no" if annihilated else "yes"), cert.w
+        verdicts[cert.regular] += 1
+    assert verdicts["yes"] >= 4 and verdicts["no"] >= 4
 
 
 def test_j7_dual_z_regular_via_dual_quotient():

@@ -6,7 +6,6 @@ import pytest
 from ncconic.findim import (
     FiniteAlgebra,
     NotFiniteDimensionalWithinBound,
-    SignatureUnmatched,
     classify,
     from_presentation,
     invariants,
@@ -15,7 +14,7 @@ from ncconic.findim import (
 from ncconic.freealg import Ambient, NcPoly
 from ncconic.linalg import rank
 from ncconic.presfile import parse_poly
-from ncconic.scalars import FieldSpec, QI, QQ, Scalar, one, zero
+from ncconic.scalars import FieldSpec, QI, QQ, Scalar
 
 AMB = Ambient(("x", "y"), QQ)
 X, Y = NcPoly.generator(AMB, 0), NcPoly.generator(AMB, 1)

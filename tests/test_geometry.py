@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncconic.freealg import Ambient, NcPoly
+from ncconic.freealg import Ambient
 from ncconic.geometry import (
     BoundExceeded,
     CommPoly,

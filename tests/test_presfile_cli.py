@@ -1,5 +1,4 @@
 import io
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -4,6 +4,7 @@
 - Every public module-level function and class of the package is referenced
   by name somewhere outside its own definition, in src/, scripts/ or tests/
   (or pyproject.toml, for entry points).
+- No module in src/, scripts/ or tests/ imports a name it never uses.
 """
 
 import ast
@@ -44,10 +45,12 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in library code: {found}"
 
 
+def _files() -> list[Path]:
+    return [p for d in ("src", "scripts", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
 def test_every_public_definition_is_referenced():
-    files = [
-        p for d in ("src", "scripts", "tests") for p in sorted((ROOT / d).rglob("*.py"))
-    ]
+    files = _files()
     defined: list[tuple[str, str]] = []
     # console-script entry points name their functions in pyproject.toml
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -71,3 +74,25 @@ def test_every_public_definition_is_referenced():
         if (module, name) not in used and (None, name) not in used
     )
     assert not unused, f"public definitions nothing refers to: {unused}"
+
+
+def test_no_unused_imports():
+    found = []
+    for path in _files():
+        imported: dict[str, int] = {}
+        used = set()
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    # `import a.b` binds `a`
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        found += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert not found, f"imported names never used: {found}"
