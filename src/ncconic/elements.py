@@ -96,7 +96,7 @@ def normalize_check(A: GradedAlgebra, w: NcPoly) -> NormalCertificate | None:
     if any(row is None for row in nu):
         return None
     # mirror inclusion: w x_j in span{x_i w}
-    if rank(left, spec) != rank(left + right, spec):
+    if any(x is None for x in solve_linear(list(map(list, zip(*left))), right, spec)):
         return None
     return NormalCertificate(wn, nu, central=False)
 

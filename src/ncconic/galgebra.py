@@ -48,6 +48,8 @@ class GradedAlgebra:
     rs: RewriteSystem
     dims: list[int]
     _bases: dict[int, list[Word]] = field(default_factory=dict)
+    # word -> its position in _bases[d], filled by coords
+    _indices: dict[int, dict[Word, int]] = field(default_factory=dict)
 
     @property
     def ambient(self) -> Ambient:
@@ -71,9 +73,10 @@ class GradedAlgebra:
     def coords(self, f: NcPoly, d: int) -> Vector:
         """Coordinate vector of a degree-d element in the degree-d basis."""
         nf = self.nf(f)
-        basis = self.basis(d)
-        index = {w: i for i, w in enumerate(basis)}
-        v = [zero(self.ambient.spec)] * len(basis)
+        index = self._indices.get(d)
+        if index is None:
+            index = self._indices[d] = {w: i for i, w in enumerate(self.basis(d))}
+        v = [zero(self.ambient.spec)] * len(index)
         for w, c in nf.terms.items():
             if len(w) != d:
                 raise ValueError(f"element not homogeneous of degree {d}: {f}")

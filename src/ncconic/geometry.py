@@ -9,7 +9,11 @@ eliminate_small is the shared mini-solver (<= 3 variables, small degrees):
 bounded Buchberger in graded lex, then univariate minimal polynomials in the
 quotient and exact back-substitution.  Roots are taken over the instance
 field only; anything that fails to split is reported as a residue, never
-guessed.
+guessed.  On a positive-dimensional ideal the branching variable may be
+transcendental; when the gcd of the basis involves another variable, every
+element of the ideal shares a factor that no univariate polynomial has, so
+the elimination ideal in that variable is zero (Cox-Little-O'Shea, Ideals,
+Varieties, and Algorithms, ch. 3) and no Krylov powers are reduced.
 """
 
 from __future__ import annotations
@@ -45,12 +49,13 @@ def _grlex_key(m: Monomial):
 class CommPoly:
     """Sparse commutative polynomial over a fixed FieldSpec."""
 
-    __slots__ = ("nvars", "spec", "terms")
+    __slots__ = ("nvars", "spec", "terms", "_lead")
 
     def __init__(self, nvars: int, spec: FieldSpec, terms: dict[Monomial, Scalar]):
         self.nvars = nvars
         self.spec = spec
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self._lead: tuple[Monomial, Scalar] | None = None
 
     @staticmethod
     def zero(nvars: int, spec: FieldSpec) -> "CommPoly":
@@ -115,8 +120,12 @@ class CommPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def leading(self) -> tuple[Monomial, Scalar]:
-        m = max(self.terms, key=_grlex_key)
-        return m, self.terms[m]
+        """Graded-lex leading monomial and coefficient, found once (terms are
+        never changed after construction)."""
+        if self._lead is None:
+            m = max(self.terms, key=_grlex_key)
+            self._lead = m, self.terms[m]
+        return self._lead
 
     def monic(self) -> "CommPoly":
         _, c = self.leading()
@@ -236,7 +245,7 @@ def reduce_poly(f: CommPoly, basis: list[CommPoly]) -> CommPoly:
     """Full multivariate division remainder (deterministic, largest term first)."""
     if not basis:
         return f
-    leads = [g.leading()[0] for g in basis]
+    heads = [g.leading() for g in basis]
     work = dict(f.terms)
     out: dict[Monomial, Scalar] = {}
     z = zero(f.spec)
@@ -245,15 +254,14 @@ def reduce_poly(f: CommPoly, basis: list[CommPoly]) -> CommPoly:
         c = work.pop(m)
         if c.is_zero():
             continue
-        hit = next((i for i, lm in enumerate(leads) if _divides(lm, m)), None)
+        hit = next((i for i, (lm, _) in enumerate(heads) if _divides(lm, m)), None)
         if hit is None:
             out[m] = out.get(m, z) + c
             continue
-        g = basis[hit]
-        lm, lc = g.leading()
+        lm, lc = heads[hit]
         shift = _mono_sub(m, lm)
         f_c = c / lc
-        for gm, gc in g.terms.items():
+        for gm, gc in basis[hit].terms.items():
             if gm == lm:
                 continue
             nm = tuple(a + b for a, b in zip(gm, shift))
@@ -267,18 +275,18 @@ def buchberger(polys: list[CommPoly], deg_bound: int = 24) -> list[CommPoly]:
     basis = [p.monic() for p in polys if not p.is_zero()]
     if not basis:
         return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    leads = [g.leading()[0] for g in basis]
+
+    def pair(i: int, j: int):
+        return _grlex_key(_mono_lcm(leads[i], leads[j])), i, j
+
+    pairs = [pair(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
-        pairs.sort(
-            key=lambda ij: _grlex_key(
-                _mono_lcm(basis[ij[0]].leading()[0], basis[ij[1]].leading()[0])
-            )
-        )
-        i, j = pairs.pop(0)
-        li, lj = basis[i].leading()[0], basis[j].leading()[0]
-        lcm = _mono_lcm(li, lj)
-        if sum(lcm) > deg_bound:
+        pairs.sort(key=lambda p: p[0])  # stable: ties keep their creation order
+        (deg, lcm), i, j = pairs.pop(0)
+        if deg > deg_bound:
             continue
+        li, lj = leads[i], leads[j]
         if all(a + b == c for a, b, c in zip(li, lj, lcm)):
             continue  # coprime leads
         spec = basis[i].spec
@@ -288,7 +296,8 @@ def buchberger(polys: list[CommPoly], deg_bound: int = 24) -> list[CommPoly]:
         r = reduce_poly(s, basis)
         if not r.is_zero():
             basis.append(r.monic())
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+            leads.append(basis[-1].leading()[0])
+            pairs.extend(pair(len(basis) - 1, k) for k in range(len(basis) - 1))
     # inter-reduce for a canonical reduced basis
     changed = True
     while changed:
@@ -473,6 +482,32 @@ def _coordinate_min_poly(gb: list[CommPoly], var: int, nvars: int, spec: FieldSp
     )
 
 
+def _common_factor_variables(gb: list[CommPoly]) -> set[int]:
+    """The variables in which the gcd of gb has positive degree.  The gcd of
+    a generating set is the gcd of the whole ideal, so a basis cut off at its
+    degree bound gives the same answer."""
+    spec = gb[0].spec
+    gens = sympy.symbols(f"v0:{gb[0].nvars}")
+    if spec.is_rational:
+        domain, root = sympy.QQ, sympy.QQ.zero
+    else:
+        domain = sympy.QQ.algebraic_field(sympy.sqrt(spec.d))
+        root = domain.from_sympy(sympy.sqrt(spec.d))
+
+    def coeff(x: Fraction):
+        return domain.convert(sympy.QQ(x.numerator, x.denominator))
+
+    common = None
+    for g in gb:
+        # domain elements, not sympy expressions, so sympy's cache stays as it was
+        terms = {m: coeff(c.a) + coeff(c.b) * root for m, c in g.terms.items()}
+        p = sympy.Poly.from_dict(terms, *gens, domain=domain)
+        common = p if common is None else common.gcd(p)
+        if common.is_ground:
+            return set()
+    return {i for i, e in enumerate(common.degree_list()) if e > 0}
+
+
 def eliminate_small(system: list[CommPoly], max_deg: int = 4) -> SolveResult:
     """Solve a small polynomial system over its field; see module docstring."""
     polys = [p for p in system if not p.is_zero()]
@@ -522,7 +557,13 @@ def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec, active: list[int]
                 [], False, f"positive-dimensional component, GB leads: {gbs}", [({}, gb)]
             )
         var = algebraic[-1]
-        mp = _coordinate_min_poly(gb, var, nvars, spec)
+        # a factor of the whole ideal in another variable leaves no univariate
+        # p(var) in it (every factor of p lies in k[var]), so Krylov would find
+        # no dependence at any cap
+        if _common_factor_variables(gb) - {var}:
+            mp = None
+        else:
+            mp = _coordinate_min_poly(gb, var, nvars, spec)
         if mp is None:
             gbs = "; ".join(repr(g) for g in gb)
             return SolveResult(

@@ -2,7 +2,7 @@ import io
 import sys
 from collections import Counter
 
-from ncconic import dataset, elements, findim, homog, linalg
+from ncconic import dataset, elements, findim, geometry, homog, linalg
 
 EXPECTED_ROWS = {
     "1": 10,
@@ -111,3 +111,14 @@ def test_row_reductions_are_bounded(monkeypatch):
     row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
     assert all(r.status == "PASS" for r in dataset.verify_row(row))
     assert len(reductions) <= 40
+
+
+def test_transcendental_coordinate_skips_krylov(monkeypatch):
+    # the degree-1 normal-element search on row 11/I3's dual meets a chart
+    # ideal whose basis shares a factor in two variables, so its branching
+    # variable has no minimal polynomial, and the solver says so without
+    # reducing 40 powers
+    min_polys = _count_calls(monkeypatch, geometry, "_coordinate_min_poly")
+    row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("11", "I3"))
+    assert all(r.status == "PASS" for r in dataset.verify_row(row))
+    assert len(min_polys) == 1

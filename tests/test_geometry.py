@@ -1,10 +1,15 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from ncconic.freealg import Ambient
 from ncconic.geometry import (
     BoundExceeded,
+    _common_factor_variables,
+    _coordinate_min_poly,
     CommPoly,
     NotQuadratic,
     buchberger,
@@ -168,3 +173,78 @@ def test_points_annihilate_minors():
     for p in pts:
         assert all(m.evaluate(list(p)).is_zero() for m in M)
         assert p == normalize_point(p)
+
+
+def _commpoly(spec, terms):
+    """A CommPoly in 3 variables from {monomial: (a, b)}, each coefficient a + b*sqrt(d)."""
+    return CommPoly(3, spec, {m: Scalar(Fraction(a), Fraction(b), spec) for m, (a, b) in terms.items()})
+
+
+def test_transcendental_coordinate_of_a_table_ideal():
+    # a chart ideal of the degree-1 normal-element search on row 11/I3's dual:
+    # its reduced basis shares (v1 + 1)((v1 - 1)^2 + v2^2), so v1 leads by a
+    # pure power, yet is transcendental
+    gb = [
+        _commpoly(QQ, {(0, 3, 1): (1, 0), (0, 1, 3): (1, 0), (0, 2, 1): (-1, 0),
+                       (0, 0, 3): (1, 0), (0, 1, 1): (-1, 0), (0, 0, 1): (1, 0)}),
+        _commpoly(QQ, {(0, 4, 0): (1, 0), (0, 2, 2): (1, 0), (0, 1, 2): (2, 0),
+                       (0, 2, 0): (-2, 0), (0, 0, 2): (1, 0), (0, 0, 0): (1, 0)}),
+    ]
+    assert buchberger(gb) == gb
+    assert _common_factor_variables(gb) == {1, 2}
+    # the certificate's answer, the slow way: no dependence within 40 powers
+    assert _coordinate_min_poly(gb, 1, 3, QQ) is None
+    r = eliminate_small(gb)
+    assert not r.complete and r.solutions == [] and r.residual_ideals == [({}, gb)]
+    assert r.residue.startswith("positive-dimensional component, GB leads: ")
+    # a common factor in the branching variable alone decides nothing: x^2 - 1
+    # still has its roots, and y stays free on both branches
+    x2 = _commpoly(QQ, {(2, 0, 0): (1, 0), (0, 0, 0): (-1, 0)})
+    r = eliminate_small([x2, x2 * _commpoly(QQ, {(0, 1, 0): (1, 0)})])
+    assert r.residue == "positive-dimensional component alongside isolated points"
+    assert [subs for subs, _ in r.residual_ideals] == [{0: Scalar.of(-1, QQ)}, {0: one(QQ)}]
+
+
+_MONOS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
+
+
+def _polys(spec):
+    b = st.just(0) if spec.is_rational else st.integers(-2, 2)
+    coeff = st.tuples(st.integers(-3, 3), b).filter(lambda c: c != (0, 0))
+    return st.dictionaries(st.sampled_from(_MONOS), coeff, min_size=1, max_size=3).map(
+        lambda terms: _commpoly(spec, terms)
+    )
+
+
+def _to_sympy(p, gens):
+    """p over Q or Q(i) as a sympy expression."""
+    return sympy.Add(
+        *(
+            (sympy.Rational(c.a) + sympy.Rational(c.b) * sympy.I)
+            * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+            for m, c in p.terms.items()
+        )
+    )
+
+
+@given(data=st.data(), spec=st.sampled_from([QQ, QI]))
+@settings(max_examples=30, deadline=None)
+def test_common_factor_certificate_matches_lex_elimination(data, spec):
+    # h * (random), with h = 1 half the time: common factors occur, and so do
+    # ideals that meet k[var]
+    h = data.draw(st.one_of(st.just(_commpoly(spec, {(0, 0, 0): (1, 0)})), _polys(spec)))
+    polys = [h * r for r in data.draw(st.lists(_polys(spec), min_size=1, max_size=3))]
+    gb = buchberger(polys)
+    shared = _common_factor_variables(gb)
+    gens = sympy.symbols("v0:3")
+    exprs = [_to_sympy(p, gens) for p in polys]
+    # the gcd is an invariant of the ideal: the basis and the input agree
+    common = sympy.Poly(reduce(sympy.gcd, exprs), *gens)
+    assert shared == {i for i, e in enumerate(common.degree_list()) if e > 0}
+    for var in range(3):
+        if not shared - {var}:
+            continue
+        # lex with var last: the basis meets k[var] in the elimination ideal
+        order = [g for i, g in enumerate(gens) if i != var] + [gens[var]]
+        lex = sympy.groebner(exprs, *order, order="lex", extension=True)
+        assert not any(e.free_symbols <= {gens[var]} for e in lex.exprs)

@@ -123,6 +123,30 @@ def test_rank_matches_sympy(data, spec):
     assert rank(m, spec) == dm.convert_to(_domain(spec)).rank()
 
 
+@given(data=st.data(), spec=st.sampled_from([QQ, QI, SQRT2]))
+@settings(max_examples=30, deadline=None)
+def test_kernel_basis_matches_sympy(data, spec):
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    m = data.draw(_matrix(spec, nrows, ncols))
+    # a row repeated or scaled, or a column zeroed, makes a larger kernel
+    if nrows > 1 and data.draw(st.booleans()):
+        c = data.draw(_scalars(spec))
+        m[-1] = [c * x for x in m[0]]
+    if data.draw(st.booleans()):
+        col = data.draw(st.integers(0, ncols - 1))
+        for row in m:
+            row[col] = zero(spec)
+    # one vector per free column, 1 there and 0 on the other free columns:
+    # the basis that sympy's nullspace returns
+    want = sympy.Matrix([[_to_sympy(c) for c in r] for r in m]).nullspace()
+    got = kernel_basis(m, ncols, spec)
+    dom = _domain(spec)
+    assert [[dom.from_sympy(_to_sympy(c)) for c in v] for v in got] == [
+        [dom.from_sympy(w) for w in u] for u in want
+    ]
+
+
 @given(data=st.data(), spec=st.sampled_from([QQ, QI]))
 @settings(max_examples=30, deadline=None)
 def test_solve_many_rhs_matches_sympy(data, spec):
