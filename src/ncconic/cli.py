@@ -115,7 +115,10 @@ def cmd_center(args, out) -> int:
 
 
 def cmd_normal1(args, out) -> int:
-    A = _build(_load(args.file), args.max_deg)
+    pf = _load(args.file)
+    if pf.ambient.n != 3:
+        raise UsageError(f"normal1 needs exactly 3 generators (got {pf.ambient.n})")
+    A = _build(pf, args.max_deg)
     res = find_normal_degree1(A)
     out.write(f"complete: {'yes' if res.complete else 'no'}\n")
     if res.residue:
@@ -265,7 +268,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except PresSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except dataset.NoMatchingRows as e:
+    except (UsageError, dataset.NoMatchingRows) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:

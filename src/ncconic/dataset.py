@@ -22,7 +22,7 @@ from .elements import (
     regularity_check,
 )
 from .findim import classify, from_presentation, is_frobenius
-from .freealg import Ambient, NcPoly, dehomogenize_poly, homogenize_poly
+from .freealg import Ambient, NcPoly
 from .galgebra import Presentation, build
 from .geometry import (
     CommPoly,
@@ -32,7 +32,13 @@ from .geometry import (
     sigma_at,
     solve_projective,
 )
-from .homog import RelationSequence, is_strongly_regular_normal, twist_presentation
+from .homog import (
+    RelationSequence,
+    dehomogenize_presentation,
+    homogenize_presentation,
+    is_strongly_regular_normal,
+    twist_presentation,
+)
 from .cmap import compute_C, delta, dual_of, nabla
 from .linalg import complete_to_basis, coords_in_basis, kernel_basis, rank, span_equal
 from .presfile import PresSyntaxError, parse_field, parse_poly
@@ -346,18 +352,8 @@ def rehomogenization_span_identity(search: Degree1Search) -> bool:
     n = amb.n
     _, C = complete_to_basis(quad1_vector(preferred[0].w), spec)
     transformed = [r.map_linear(C) for r in dual.presentation.relations]
-    # dehomogenize at the last coordinate, then homogenize back + commutators
-    rebuilt: list[NcPoly] = []
-    for r in transformed:
-        g = dehomogenize_poly(r, n - 1)
-        if g.is_zero():
-            continue
-        h = homogenize_poly(g, amb.names[n - 1])
-        rebuilt.append(NcPoly(amb, dict(h.terms)))
-    zgen = NcPoly.generator(amb, n - 1)
-    for i in range(n - 1):
-        xi = NcPoly.generator(amb, i)
-        rebuilt.append(xi * zgen - zgen * xi)
+    S, F = dehomogenize_presentation(Presentation(amb, transformed), n - 1)
+    rebuilt = homogenize_presentation(S, F, amb.names[n - 1]).relations
     left = [quad_vector(r) for r in transformed]
     right = [quad_vector(r) for r in rebuilt]
     return span_equal(left, right, spec)

@@ -14,10 +14,16 @@ transcendental; when the gcd of the basis involves another variable, every
 element of the ideal shares a factor that no univariate polynomial has, so
 the elimination ideal in that variable is zero (Cox-Little-O'Shea, Ideals,
 Varieties, and Algorithms, ch. 3) and no Krylov powers are reduced.
+
+This is the one module that talks to sympy.  to_domain and from_domain map
+a Scalar to and from an element of sympy's domain for its field (QQ or
+QQ<sqrt(d)>, built once per field on first use); root finding, the gcd
+certificate and the printed residues all cross there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -315,44 +321,51 @@ def buchberger(polys: list[CommPoly], deg_bound: int = 24) -> list[CommPoly]:
     return sorted(basis, key=lambda p: _grlex_key(p.leading()[0]))
 
 
+# -- the one boundary to sympy: Scalar <-> domain elements ---------------------
+
+
+@functools.cache
+def _domain(spec: FieldSpec):
+    """sympy's domain for spec, QQ or QQ<sqrt(d)>, with sqrt(d) in it.  Built on
+    first use, so importing the package builds no number field."""
+    if spec.is_rational:
+        return sympy.QQ, sympy.QQ.zero
+    K = sympy.QQ.algebraic_field(sympy.sqrt(spec.d))
+    return K, K.from_sympy(sympy.sqrt(spec.d))
+
+
+def to_domain(c: Scalar):
+    """c as an element of sympy's domain for its field."""
+    K, root = _domain(c.spec)
+    a, b = (K.convert(sympy.QQ(x.numerator, x.denominator)) for x in (c.a, c.b))
+    return a + b * root
+
+
+def from_domain(e, spec: FieldSpec) -> Scalar:
+    """The Scalar of a domain element.  sympy writes e = u*theta + v in its own
+    primitive element theta, and sqrt(d) = p*theta + q with p != 0, so
+    e = (u/p)*sqrt(d) + v - (u/p)*q whatever theta sympy picked."""
+
+    def frac(x) -> Fraction:
+        return Fraction(int(x.numerator), int(x.denominator))
+
+    if spec.is_rational:
+        return Scalar(frac(e), Fraction(0), spec)
+    # to_list() is highest degree first, and shorter for a rational e
+    u, v = ([Fraction(0)] * 2 + [frac(x) for x in e.to_list()])[-2:]
+    p, q = (frac(x) for x in _domain(spec)[1].to_list())
+    b = u / p
+    return Scalar(v - b * q, b, spec)
+
+
 # -- exact univariate roots over the instance field ----------------------------
 
 
-def _scalar_to_sympy(c: Scalar):
-    a = sympy.Rational(c.a.numerator, c.a.denominator)
-    if c.b == 0:
-        return a
-    b = sympy.Rational(c.b.numerator, c.b.denominator)
-    return a + b * sympy.sqrt(c.spec.d)
-
-
-def _sympy_to_scalar(expr, spec: FieldSpec) -> Scalar | None:
-    expr = sympy.expand(sympy.radsimp(sympy.together(expr)))
-    if spec.is_rational:
-        if expr.is_Rational:
-            return Scalar(Fraction(int(expr.p), int(expr.q)), Fraction(0), spec)
-        return None
-    d = spec.d
-    root = sympy.sqrt(d)
-    if d < 0:
-        conj = sympy.expand(expr.subs(sympy.I, -sympy.I))
-    else:
-        s = sympy.sqrt(d)
-        conj = sympy.expand(expr.subs(s, -s))
-    a = sympy.expand((expr + conj) / 2)
-    b = sympy.expand(sympy.cancel((expr - conj) / (2 * root)))
-    if a.is_Rational and b.is_Rational:
-        return Scalar(
-            Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)), spec
-        )
-    return None
-
-
 def univariate_roots(coeffs: list[Scalar], spec: FieldSpec) -> tuple[list[Scalar], bool]:
-    """Roots in the field of sum coeffs[k] t^k; (roots, fully_split).  Every
-    returned root is re-verified with exact Scalar arithmetic."""
-    from .scalars import scalar_sqrt
-
+    """Roots in the field of sum coeffs[k] t^k; (roots, fully_split).  Above
+    degree 1 the roots are read off the linear factors of the polynomial over
+    sympy's domain for the field; every one is re-verified with exact Scalar
+    arithmetic."""
     while coeffs and coeffs[-1].is_zero():
         coeffs = coeffs[:-1]
     if not coeffs:
@@ -372,41 +385,17 @@ def univariate_roots(coeffs: list[Scalar], spec: FieldSpec) -> tuple[list[Scalar
             roots.append(zero(spec))
         roots.sort(key=lambda s: (s.a, s.b))
         return roots, True
-    if len(coeffs) == 3:
-        c, b, a = coeffs
-        disc = b * b - Scalar.of(4, spec) * a * c
-        s = scalar_sqrt(disc)
-        roots = []
-        if s is not None:
-            half = (Scalar.of(2, spec) * a).inverse()
-            for sign in (1, -1):
-                r = (-b + (s if sign == 1 else -s)) * half
-                if all(not (r - q).is_zero() for q in roots):
-                    roots.append(r)
-        if zero_root:
-            roots.append(zero(spec))
-        roots.sort(key=lambda sc: (sc.a, sc.b))
-        return roots, s is not None
-    t = sympy.Symbol("t")
-    expr = sum(_scalar_to_sympy(c) * t**k for k, c in enumerate(coeffs))
-    if spec.is_rational:
-        factors = sympy.factor_list(expr, t)[1]
-    else:
-        factors = sympy.factor_list(expr, t, extension=[sympy.sqrt(spec.d)])[1]
+    poly = sympy.Poly.from_list(
+        [to_domain(c) for c in reversed(coeffs)], sympy.Symbol("t"), domain=_domain(spec)[0]
+    )
     roots: list[Scalar] = []
     split = True
-    for fac, _mult in factors:
-        p = sympy.Poly(fac, t)
-        if p.degree() == 0:
-            continue
-        if p.degree() > 1:
+    for fac, _mult in poly.factor_list()[1]:
+        if fac.degree() > 1:
             split = False
             continue
-        c1, c0 = p.all_coeffs()
-        r = _sympy_to_scalar(-sympy.together(c0 / c1), spec)
-        if r is None:
-            split = False
-            continue
+        c1, c0 = fac.rep.to_list()
+        r = from_domain(-c0 / c1, spec)
         acc = zero(spec)
         for c in reversed(coeffs):  # exact Horner verification
             acc = acc * r + c
@@ -486,21 +475,12 @@ def _common_factor_variables(gb: list[CommPoly]) -> set[int]:
     """The variables in which the gcd of gb has positive degree.  The gcd of
     a generating set is the gcd of the whole ideal, so a basis cut off at its
     degree bound gives the same answer."""
-    spec = gb[0].spec
+    domain = _domain(gb[0].spec)[0]
     gens = sympy.symbols(f"v0:{gb[0].nvars}")
-    if spec.is_rational:
-        domain, root = sympy.QQ, sympy.QQ.zero
-    else:
-        domain = sympy.QQ.algebraic_field(sympy.sqrt(spec.d))
-        root = domain.from_sympy(sympy.sqrt(spec.d))
-
-    def coeff(x: Fraction):
-        return domain.convert(sympy.QQ(x.numerator, x.denominator))
-
     common = None
     for g in gb:
         # domain elements, not sympy expressions, so sympy's cache stays as it was
-        terms = {m: coeff(c.a) + coeff(c.b) * root for m, c in g.terms.items()}
+        terms = {m: to_domain(c) for m, c in g.terms.items()}
         p = sympy.Poly.from_dict(terms, *gens, domain=domain)
         common = p if common is None else common.gcd(p)
         if common.is_ground:
@@ -577,7 +557,8 @@ def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec, active: list[int]
             raise BoundExceeded(f"no minimal polynomial of v{var} within 40 powers")
     roots, split = univariate_roots(mp, spec)
     if not split and residue is None:
-        mp_str = "+".join(f"({_scalar_to_sympy(c)})*t^{k}" for k, c in enumerate(mp))
+        K = _domain(spec)[0]
+        mp_str = "+".join(f"({K.to_sympy(to_domain(c))})*t^{k}" for k, c in enumerate(mp))
         residue = f"eliminant of v{var} does not split over {spec}: {mp_str}"
     solutions: list[tuple[Scalar, ...]] = []
     residuals: list[tuple[dict[int, Scalar], list[CommPoly]]] = []

@@ -187,51 +187,6 @@ class Scalar:
     __repr__ = __str__
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    rn = math.isqrt(n)
-    rd = math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def scalar_sqrt(x: Scalar) -> Scalar | None:
-    """A square root of x inside its own field, or None when there is none."""
-    spec = x.spec
-    if x.is_zero():
-        return zero(spec)
-    if spec.is_rational:
-        r = _fraction_sqrt(x.a)
-        return None if r is None else Scalar(r, Fraction(0), spec)
-    d = spec.d
-    if x.b == 0:
-        r = _fraction_sqrt(x.a)
-        if r is not None:
-            return Scalar(r, Fraction(0), spec)
-        r = _fraction_sqrt(x.a / d)
-        if r is not None:
-            return Scalar(Fraction(0), r, spec)
-        return None
-    # (u + v sqrt(d))^2 = x: u^2 = (a +- sqrt(a^2 - d b^2)) / 2, v = b/(2u)
-    n = _fraction_sqrt(x.a * x.a - d * x.b * x.b)
-    if n is None:
-        return None
-    for sign in (1, -1):
-        u2 = (x.a + sign * n) / 2
-        u = _fraction_sqrt(u2)
-        if u is not None and u != 0:
-            v = x.b / (2 * u)
-            cand = Scalar(u, v, spec)
-            if cand * cand == x:
-                return cand
-    return None
-
-
 def zero(spec: FieldSpec) -> Scalar:
     return Scalar(Fraction(0), Fraction(0), spec)
 

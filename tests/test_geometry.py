@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from ncconic import geometry
 from ncconic.freealg import Ambient
 from ncconic.geometry import (
     BoundExceeded,
@@ -125,6 +126,88 @@ def test_roots_across_fields():
     # cubic through the sympy path: t^3 - t over Q
     r, split = univariate_roots([zero(QQ), Scalar.of(-1, QQ), zero(QQ), one(QQ)], QQ)
     assert split and len(r) == 3
+    # roots with a sqrt(2) part: (t - (1 + sqrt 2))(t + sqrt 2) = t^2 - t - 2 - sqrt 2
+    q2 = FieldSpec(2)
+    r, split = univariate_roots(
+        [Scalar(Fraction(-2), Fraction(-1), q2), Scalar.of(-1, q2), one(q2)], q2
+    )
+    assert split and r == [Scalar.sqrt_part(-1, q2), Scalar(Fraction(1), Fraction(1), q2)]
+    # t^2 + 3 over Q(sqrt -3): roots +-sqrt(-3)
+    qm3 = FieldSpec(-3)
+    r, split = univariate_roots([Scalar.of(3, qm3), zero(qm3), one(qm3)], qm3)
+    assert split and r == [Scalar.sqrt_part(-1, qm3), Scalar.sqrt_part(1, qm3)]
+    r, split = univariate_roots([Scalar.of(-2, q3), zero(q3), one(q3)], q3)
+    assert r == [] and not split
+
+
+def test_roots_are_rechecked_exactly(monkeypatch):
+    # a conversion from sympy that conjugates is caught by the exact Horner
+    # check: both roots of (t - (1 + sqrt 2))(t + sqrt 2) are dropped
+    q2 = FieldSpec(2)
+    read = geometry.from_domain
+
+    def conjugated(e, spec):
+        s = read(e, spec)
+        return Scalar(s.a, -s.b, spec)
+
+    monkeypatch.setattr(geometry, "from_domain", conjugated)
+    r, split = univariate_roots(
+        [Scalar(Fraction(-2), Fraction(-1), q2), Scalar.of(-1, q2), one(q2)], q2
+    )
+    assert r == [] and not split
+
+
+def _times(p: list[Scalar], q: list[Scalar]) -> list[Scalar]:
+    """Product of two coefficient lists, constant term first."""
+    out = [zero(p[0].spec)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+# each field with a fixed non-square c: t^2 - c has no root in it
+_NON_SQUARES = [(QQ, 2), (QI, 2), (FieldSpec(2), 3), (FieldSpec(-3), 2)]
+
+
+@given(data=st.data(), field=st.sampled_from(_NON_SQUARES), irreducible=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_univariate_roots_from_known_roots(data, field, irreducible):
+    spec, c = field
+    b = st.just(0) if spec.is_rational else st.integers(-2, 2)
+    element = st.tuples(st.integers(-3, 3), b).map(
+        lambda ab: Scalar(Fraction(ab[0]), Fraction(ab[1]), spec)
+    )
+    roots = data.draw(st.lists(element, min_size=1, max_size=3))
+    roots += roots[: data.draw(st.integers(0, 1))]  # a repeated root
+    if data.draw(st.booleans()):
+        roots.append(zero(spec))
+    lead = data.draw(element.filter(lambda s: not s.is_zero()))
+    poly = [lead]
+    for r in roots:
+        poly = _times(poly, [-r, one(spec)])
+    if irreducible:
+        poly = _times(poly, [Scalar.of(-c, spec), zero(spec), one(spec)])
+    got, split = univariate_roots(poly, spec)
+    assert got == sorted(set(roots), key=lambda s: (s.a, s.b))
+    assert split == (not irreducible)
+
+
+def test_eliminant_residue_text():
+    # the residue prints each coefficient as a sympy number of the field
+    q2 = FieldSpec(2)
+    v0 = CommPoly.var(3, 0, q2)
+
+    def const(a, b=0):
+        return CommPoly.const(3, Scalar(Fraction(a), Fraction(b), q2))
+
+    r = eliminate_small([v0 * v0 - const(3)])
+    assert r.residue == "eliminant of v0 does not split over Q(sqrt 2): (-3)*t^0+(0)*t^1+(1)*t^2"
+    r = eliminate_small([v0 * v0 * v0 - const(Fraction(1, 2), Fraction(-3, 4)) * v0 + const(0, 5)])
+    assert r.residue == (
+        "eliminant of v0 does not split over Q(sqrt 2): "
+        "(5*sqrt(2))*t^0+(-1/2 + 3*sqrt(2)/4)*t^1+(0)*t^2+(1)*t^3"
+    )
 
 
 def test_buchberger_reduces_to_triangular():

@@ -195,19 +195,23 @@ def test_env_default_truncation(f1_file, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", ["unknown table", "max-deg 1", "field not squarefree", "env not an integer"]
+    "case",
+    ["unknown table", "max-deg 1", "field not squarefree", "env not an integer", "normal1 on 2 generators"],
 )
 def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
-    args = {
-        "unknown table": ["verify", "--table", "99"],
-        "max-deg 1": ["hilbert", f1_file, "--max-deg", "1"],
-        "field not squarefree": ["hilbert", str(tmp_path / "sqrt4.alg")],
-        "env not an integer": ["hilbert", f1_file],
+    args, prefix = {
+        "unknown table": (["verify", "--table", "99"], "usage error:"),
+        "max-deg 1": (["hilbert", f1_file, "--max-deg", "1"], "usage error:"),
+        "field not squarefree": (["hilbert", str(tmp_path / "sqrt4.alg")], "parse error:"),
+        "env not an integer": (["hilbert", f1_file], "usage error:"),
+        "normal1 on 2 generators": (["normal1", str(tmp_path / "plane.alg")], "usage error:"),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")
+    (tmp_path / "plane.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\n")
     if case == "env not an integer":
         monkeypatch.setenv("NCCONIC_MAX_DEG", "abc")
     code, out = run_cli(args)
     err = capsys.readouterr().err
     assert code == 2 and out == ""
+    assert err.startswith(prefix), err
     assert len(err.splitlines()) == 1, err

@@ -5,6 +5,7 @@
   by name somewhere outside its own definition, in src/, scripts/ or tests/
   (or pyproject.toml, for entry points).
 - No module in src/, scripts/ or tests/ imports a name it never uses.
+- Within the package only geometry imports sympy.
 """
 
 import ast
@@ -96,3 +97,19 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert not found, f"imported names never used: {found}"
+
+
+def test_only_geometry_imports_sympy():
+    # one boundary to sympy: every Scalar <-> sympy conversion is in geometry
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"geometry"}, importers
