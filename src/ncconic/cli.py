@@ -175,6 +175,8 @@ def cmd_classify(args, out) -> int:
 
 def cmd_nabla(args, out) -> int:
     pf = _load(args.file)
+    if not pf.elems:
+        raise UsageError("nabla needs at least one elem: line (got none)")
     S = build(Presentation(pf.ambient, pf.relations, pf.label), args.max_deg)
     F = RelationSequence(pf.ambient, pf.elems)
     conic = nabla(S, F, args.max_deg)
@@ -186,6 +188,8 @@ def cmd_nabla(args, out) -> int:
 
 def cmd_delta(args, out) -> int:
     pf = _load(args.file)
+    if pf.ambient.n != 3:
+        raise UsageError(f"delta needs exactly 3 generators (got {pf.ambient.n})")
     A = _build(pf, args.max_deg)
     res = delta(A)
     _print_finite(res.algebra, out)

@@ -57,8 +57,10 @@ class FrobeniusClass:
 
 
 class FiniteAlgebra:
-    """dim-N algebra: table[a][b] is the coordinate vector of e_a * e_b.
-    Associativity and the unit laws are verified exactly on construction."""
+    """dim-N algebra: table[a][b] is the coordinate vector of e_a * e_b, and
+    sparse[a][b] lists its nonzero (k, c) pairs.  Products read only the
+    sparse form.  Associativity and the unit laws are verified exactly on
+    construction."""
 
     def __init__(self, spec: FieldSpec, labels: list[str], table: list[list[Vector]], unit: Vector):
         self.spec = spec
@@ -66,21 +68,42 @@ class FiniteAlgebra:
         self.table = table
         self.unit = unit
         self.dim = len(labels)
+        self._zero = zero(spec)
+        self.sparse = [
+            [tuple((k, c) for k, c in enumerate(v) if not c.is_zero()) for v in row]
+            for row in table
+        ]
         self._validate()
         self._frobenius: tuple[bool, Vector | None] | None = None  # is_frobenius memo
 
+    def _combine(self, terms) -> Vector:
+        """sum of c * r over the (c, r) in terms, each r a sparse row."""
+        acc: dict[int, Scalar] = {}
+        for c, r in terms:
+            for k, t in r:
+                p = c * t
+                acc[k] = acc[k] + p if k in acc else p
+        out = [self._zero] * self.dim
+        for k, x in acc.items():
+            out[k] = x
+        return out
+
     def _validate(self):
-        n = self.dim
+        """(e_a e_b) e_c = e_a (e_b e_c) for every triple, and u e_a = e_a u =
+        e_a, each side a combination of sparse rows."""
+        n, T = self.dim, self.sparse
+        u = [(x, ux) for x, ux in enumerate(self.unit) if not ux.is_zero()]
         for a in range(n):
-            ua = self.mul(self.unit, self.basis_vector(a))
-            au = self.mul(self.basis_vector(a), self.unit)
-            if ua != self.basis_vector(a) or au != self.basis_vector(a):
+            ea = self.basis_vector(a)
+            ua = self._combine((ux, T[x][a]) for x, ux in u)
+            au = self._combine((ux, T[a][x]) for x, ux in u)
+            if ua != ea or au != ea:
                 raise ValueError("unit laws fail")
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    left = self.mul(self.table[a][b], self.basis_vector(c))
-                    right = self.mul(self.basis_vector(a), self.table[b][c])
+                    left = self._combine((t, T[k][c]) for k, t in T[a][b])
+                    right = self._combine((t, T[a][j]) for j, t in T[b][c])
                     if left != right:
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
 
@@ -88,18 +111,14 @@ class FiniteAlgebra:
         return [one(self.spec) if i == a else zero(self.spec) for i in range(self.dim)]
 
     def mul(self, u: Vector, v: Vector) -> Vector:
-        out = [zero(self.spec)] * self.dim
-        for a, ua in enumerate(u):
-            if ua.is_zero():
-                continue
-            for b, vb in enumerate(v):
-                if vb.is_zero():
-                    continue
-                c = ua * vb
-                for k, t in enumerate(self.table[a][b]):
-                    if not t.is_zero():
-                        out[k] = out[k] + c * t
-        return out
+        T = self.sparse
+        nz_v = [(b, vb) for b, vb in enumerate(v) if not vb.is_zero()]
+        return self._combine(
+            (ua * vb, T[a][b])
+            for a, ua in enumerate(u)
+            if not ua.is_zero()
+            for b, vb in nz_v
+        )
 
     def is_commutative(self) -> bool:
         return all(
@@ -108,7 +127,8 @@ class FiniteAlgebra:
 
     def left_mult_matrix(self, u: Vector) -> Rows:
         """Rows are images of basis vectors under left multiplication by u."""
-        return [self.mul(u, self.basis_vector(b)) for b in range(self.dim)]
+        nz_u = [(a, ua) for a, ua in enumerate(u) if not ua.is_zero()]
+        return [self._combine((ua, self.sparse[a][b]) for a, ua in nz_u) for b in range(self.dim)]
 
     def __repr__(self):
         return f"FiniteAlgebra(dim={self.dim}, labels={self.labels})"
@@ -290,7 +310,7 @@ def _quotient_algebra(A: FiniteAlgebra, ideal: Rows) -> tuple["FiniteAlgebra", l
 def _split_idempotents(A: FiniteAlgebra) -> tuple[list[Vector], bool]:
     """Orthogonal idempotent decomposition of unity in a (semisimple) algebra
     through minimal polynomials of central elements; returns (idempotents,
-    fully_split ove the field)."""
+    fully_split over the field)."""
     spec = A.spec
     idems = [A.unit]
     split = True

@@ -2,8 +2,9 @@
 
 Matrices are lists of rows, rows are lists of Scalar.  Row reduction uses
 plain Gaussian elimination with deterministic pivoting (leftmost column,
-topmost row), so kernels and echelon forms are reproducible across runs.
-Each question costs one reduction of its matrix; krylov_min_poly also takes
+topmost row), so kernels and echelon forms are reproducible across runs;
+a pivot row scales and eliminates only over its nonzero entries.  Each
+question costs one reduction of its matrix; krylov_min_poly also takes
 sparse vectors, for quotient rings without a fixed finite basis.
 """
 
@@ -63,12 +64,18 @@ def rref(rows: Rows, spec: FieldSpec) -> tuple[Rows, list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        # the pivot row is zero left of c: scale and eliminate on its support
+        support = [j for j in range(c, ncols) if not prow[j].is_zero()]
+        inv = prow[c].inverse()
+        for j in support:
+            prow[j] = prow[j] * inv
         for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -87,7 +94,9 @@ def reduce_by_echelon(v: Vector, red: Rows, pivots: list[int]) -> Vector:
     for row, pc in zip(red, pivots):
         c = w[pc]
         if not c.is_zero():
-            w = [a - c * b for a, b in zip(w, row)]
+            for j in range(pc, len(row)):
+                if not row[j].is_zero():
+                    w[j] = w[j] - c * row[j]
     return w
 
 

@@ -14,7 +14,7 @@ from ncconic.findim import (
 from ncconic.freealg import Ambient, NcPoly
 from ncconic.linalg import rank
 from ncconic.presfile import parse_poly
-from ncconic.scalars import FieldSpec, QI, QQ, Scalar
+from ncconic.scalars import FieldSpec, QI, QQ, Scalar, one, zero
 
 AMB = Ambient(("x", "y"), QQ)
 X, Y = NcPoly.generator(AMB, 0), NcPoly.generator(AMB, 1)
@@ -143,6 +143,79 @@ def _random_basis_change(A: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
         table.append(row)
     unit = to_new(A.unit)
     return FiniteAlgebra(spec, [f"b{k}" for k in range(n)], table, unit)
+
+
+def _dense_mul(table, spec, u, v):
+    n = len(table)
+    out = [zero(spec)] * n
+    for a in range(n):
+        for b in range(n):
+            for k in range(n):
+                out[k] = out[k] + u[a] * v[b] * table[a][b][k]
+    return out
+
+
+def _first_nonassociative_triple(table, spec):
+    n = len(table)
+    e = [[one(spec) if i == k else zero(spec) for i in range(n)] for k in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                left = _dense_mul(table, spec, table[a][b], e[c])
+                right = _dense_mul(table, spec, e[a], table[b][c])
+                if left != right:
+                    return a, b, c
+    return None
+
+
+def test_sparse_products_match_dense_reference():
+    rng = random.Random(7)
+    for label, texts, spec in REFERENCE:
+        A = model(*texts, amb=Ambient(("x", "y"), spec))
+        for B in (A, _random_basis_change(A, rng)):
+            n = B.dim
+            vectors = [B.basis_vector(k) for k in range(n)] + [
+                [Scalar.of(rng.choice([0, 0, 1, -2, 3]), spec) for _ in range(n)] for _ in range(2)
+            ]
+            for u in vectors:
+                for v in vectors:
+                    assert B.mul(u, v) == _dense_mul(B.table, spec, u, v), label
+                assert B.left_mult_matrix(u) == [
+                    _dense_mul(B.table, spec, u, B.basis_vector(b)) for b in range(n)
+                ], label
+
+
+def test_construction_rejects_bad_tables():
+    A = model("x*y - y*x", "x^2 - 1", "y^2 - 1")  # basis 1, x, y, x*y
+    # x*x = 1 + x instead of 1: the unit laws still hold, associativity does not
+    table = [[list(v) for v in row] for row in A.table]
+    table[1][1][1] = table[1][1][1] + one(QQ)
+    want = _first_nonassociative_triple(table, QQ)
+    assert want is not None
+    with pytest.raises(ValueError, match=rf"^associativity fails at \({want[0]},{want[1]},{want[2]}\)$"):
+        FiniteAlgebra(QQ, A.labels, table, A.unit)
+    with pytest.raises(ValueError, match="^unit laws fail$"):
+        FiniteAlgebra(QQ, A.labels, A.table, A.basis_vector(1))
+
+
+def test_validation_skips_zero_structure_constants(monkeypatch):
+    # k^4 in its basis of orthogonal idempotents: 4 nonzero structure
+    # constants; the dense check made 80 Scalar multiplications
+    n = 4
+    e = [[one(QQ) if i == k else zero(QQ) for i in range(n)] for k in range(n)]
+    table = [[e[a] if a == b else [zero(QQ)] * n for b in range(n)] for a in range(n)]
+    count = 0
+    mul = Scalar.__mul__
+
+    def counted(s, o):
+        nonlocal count
+        count += 1
+        return mul(s, o)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    A = FiniteAlgebra(QQ, [f"e{k}" for k in range(n)], table, [one(QQ)] * n)
+    assert A.is_commutative()
+    assert count <= 20
 
 
 def test_classify_invariant_under_basis_change():

@@ -196,3 +196,33 @@ def test_krylov_min_poly(data, spec):
     # no dependence among the powers below deg: a cap of deg - 1 finds none
     if deg > 0:
         assert krylov_min_poly(v, lambda u: mat_vec(m, u, spec), spec, cap=deg - 1) is None
+
+
+def _sparse_scalars(spec: FieldSpec):
+    # three entries in four are 0
+    return st.tuples(st.integers(0, 3), _scalars(spec)).map(
+        lambda t: t[1] if t[0] == 0 else zero(spec)
+    )
+
+
+@given(data=st.data(), spec=st.sampled_from([QQ, QI, SQRT2]))
+@settings(max_examples=60, deadline=None)
+def test_rref_matches_sympy_on_sparse_matrices(data, spec):
+    nrows = data.draw(st.integers(1, 6))
+    ncols = data.draw(st.integers(1, 6))
+    row = st.lists(_sparse_scalars(spec), min_size=ncols, max_size=ncols)
+    m = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    # repeated and scaled rows, and zero columns, as the kernels produce them
+    for _ in range(data.draw(st.integers(0, 2))):
+        c = data.draw(_scalars(spec))
+        src = m[data.draw(st.integers(0, len(m) - 1))]
+        m.insert(data.draw(st.integers(0, len(m))), [c * x for x in src])
+    for col in data.draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for r in m:
+            r[col] = zero(spec)
+    red, pivots = rref(m, spec)
+    dom = _domain(spec)
+    dm = DomainMatrix([[dom.from_sympy(_to_sympy(c)) for c in r] for r in m], (len(m), ncols), dom)
+    want, want_pivots = dm.rref()
+    assert pivots == list(want_pivots)
+    assert [[dom.from_sympy(_to_sympy(c)) for c in r] for r in red] == want.to_list()[: len(pivots)]

@@ -196,7 +196,15 @@ def test_env_default_truncation(f1_file, monkeypatch):
 
 @pytest.mark.parametrize(
     "case",
-    ["unknown table", "max-deg 1", "field not squarefree", "env not an integer", "normal1 on 2 generators"],
+    [
+        "unknown table",
+        "max-deg 1",
+        "field not squarefree",
+        "env not an integer",
+        "normal1 on 2 generators",
+        "delta on 2 generators",
+        "nabla without elems",
+    ],
 )
 def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
     args, prefix = {
@@ -205,6 +213,11 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
         "field not squarefree": (["hilbert", str(tmp_path / "sqrt4.alg")], "parse error:"),
         "env not an integer": (["hilbert", f1_file], "usage error:"),
         "normal1 on 2 generators": (["normal1", str(tmp_path / "plane.alg")], "usage error:"),
+        "delta on 2 generators": (
+            ["delta", str(tmp_path / "plane.alg")],
+            "usage error: delta needs exactly 3 generators (got 2)",
+        ),
+        "nabla without elems": (["nabla", str(tmp_path / "plane.alg")], "usage error: nabla needs"),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")
     (tmp_path / "plane.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\n")
