@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a fixed FieldSpec.
+"""Exact linear algebra over a fixed FieldSpec, skipping zero entries.
 
 Matrices are lists of rows, rows are lists of Scalar.  Row reduction uses
 plain Gaussian elimination with deterministic pivoting (leftmost column,

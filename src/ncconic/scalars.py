@@ -3,6 +3,12 @@
 Every scalar is a + b*sqrt(d) with a, b rational; over plain Q the b part
 is identically zero.  All operations are exact -- no floats anywhere in the
 arithmetic path.  Scalars from different fields never mix.
+
+Scalars are immutable, so ``zero(spec)`` and ``one(spec)`` return one
+shared instance per field.  Over Q, arithmetic computes only the rational
+part, and every result carries the shared zero Fraction as its sqrt(d)
+part.  Every construction, arithmetic results included, is still
+validated: a nonzero sqrt(d) part over Q raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -71,6 +77,9 @@ class FieldSpec:
 QQ = FieldSpec()
 QI = FieldSpec(-1)
 
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
 
 def _coerce_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -89,7 +98,7 @@ class Scalar:
     spec: FieldSpec
 
     def __post_init__(self):
-        if self.spec.is_rational and self.b != 0:
+        if self.b and self.spec.d is None:
             raise ValueError("rational scalar with nonzero sqrt part")
 
     # -- constructors ------------------------------------------------------
@@ -97,25 +106,25 @@ class Scalar:
     @staticmethod
     def of(x, spec: FieldSpec) -> "Scalar":
         if isinstance(x, Scalar):
-            if x.spec != spec:
+            if x.spec is not spec and x.spec != spec:
                 raise FieldMismatch(f"{x.spec} vs {spec}")
             return x
-        return Scalar(_coerce_fraction(x), Fraction(0), spec)
+        return Scalar(_coerce_fraction(x), _F0, spec)
 
     @staticmethod
     def sqrt_part(x, spec: FieldSpec) -> "Scalar":
         """x * sqrt(d) in Q(sqrt d)."""
         if spec.is_rational:
             raise FieldMismatch("sqrt part requires a quadratic extension")
-        return Scalar(Fraction(0), _coerce_fraction(x), spec)
+        return Scalar(_F0, _coerce_fraction(x), spec)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0
+        return self.a == 1 and not self.b
 
     def __bool__(self):
         return not self.is_zero()
@@ -123,39 +132,51 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Scalar"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.a + other.a, self.b + other.b, self.spec)
+        spec = self.spec
+        if spec.d is None:
+            return Scalar(self.a + other.a, _F0, spec)
+        return Scalar(self.a + other.a, self.b + other.b, spec)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.a - other.a, self.b - other.b, self.spec)
+        spec = self.spec
+        if spec.d is None:
+            return Scalar(self.a - other.a, _F0, spec)
+        return Scalar(self.a - other.a, self.b - other.b, spec)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b, self.spec)
+        spec = self.spec
+        if spec.d is None:
+            return Scalar(-self.a, _F0, spec)
+        return Scalar(-self.a, -self.b, spec)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        if self.spec.is_rational:
-            return Scalar(self.a * other.a, Fraction(0), self.spec)
-        d = self.spec.d
+        spec = self.spec
+        d = spec.d
+        if d is None:
+            return Scalar(self.a * other.a, _F0, spec)
         return Scalar(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
-            self.spec,
+            spec,
         )
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero("inverse of 0")
-        if self.spec.is_rational:
-            return Scalar(1 / self.a, Fraction(0), self.spec)
+        spec = self.spec
+        d = spec.d
+        if d is None:
+            return Scalar(_F1 / self.a, _F0, spec)
         # norm a^2 - d b^2 is nonzero for squarefree d != 1
-        n = self.a * self.a - self.spec.d * self.b * self.b
-        return Scalar(self.a / n, -self.b / n, self.spec)
+        n = self.a * self.a - d * self.b * self.b
+        return Scalar(self.a / n, -self.b / n, spec)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)
@@ -187,10 +208,19 @@ class Scalar:
     __repr__ = __str__
 
 
+_ZERO: dict[FieldSpec, Scalar] = {}
+_ONE: dict[FieldSpec, Scalar] = {}
+
+
 def zero(spec: FieldSpec) -> Scalar:
-    return Scalar(Fraction(0), Fraction(0), spec)
+    z = _ZERO.get(spec)
+    if z is None:
+        z = _ZERO[spec] = Scalar(_F0, _F0, spec)
+    return z
 
 
 def one(spec: FieldSpec) -> Scalar:
-    return Scalar(Fraction(1), Fraction(0), spec)
-
+    o = _ONE.get(spec)
+    if o is None:
+        o = _ONE[spec] = Scalar(_F1, _F0, spec)
+    return o
