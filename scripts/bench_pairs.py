@@ -6,9 +6,12 @@
 PARENT_OUT and CHANGE_OUT are the ``.perfbench_out/`` directories of two
 checkouts that ran ``perfbench/run.py`` with the same workloads, seeds and
 ``--seconds``.  Runs are paired by workload and seed; a seed run on one side
-only is left out.  For each workload, untraced (``--trace 0``) pairs give,
-for every end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles and the number of pairs the change won (ties count for neither).
+only is left out.  A pair whose sides ran the same source (equal
+``source_digest``) or different ``--seconds`` is an error: it compares
+nothing, or runs of different lengths.  For each workload, untraced
+(``--trace 0``) pairs give, for every end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles and the number of pairs
+the change won (ties count for neither).
 Every run is kept with its ``attempted`` count, so that ``peak_rss_mb``,
 which is a peak over however many passes fit in the run, can be compared at
 equal pass counts.  Traced (``--trace 1``) pairs give each side's per-layer
@@ -102,6 +105,20 @@ def summarise(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
     return out
 
 
+def mismatched_pairs(parent: dict, change: dict) -> list[str]:
+    """Pairs that cannot compare a parent with a change: the same source on
+    both sides, or runs of different lengths."""
+    bad = []
+    for key in sorted(set(parent) & set(change)):
+        p, c = parent[key]["record"], change[key]["record"]
+        name = "{}/seed{}/trace{}".format(*key)
+        if p.get("source_digest") == c.get("source_digest"):
+            bad.append(f"{name}: both sides ran source {p.get('source_digest')}")
+        if p.get("seconds") != c.get("seconds"):
+            bad.append(f"{name}: --seconds {p.get('seconds')} against {c.get('seconds')}")
+    return bad
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_out", type=Path, help=".perfbench_out/ of the parent checkout")
@@ -109,9 +126,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="the BENCH file to write")
     args = ap.parse_args(argv)
     end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
-    summary = summarise(load_runs(args.parent_out), load_runs(args.change_out), end_to_end)
+    parent, change = load_runs(args.parent_out), load_runs(args.change_out)
+    summary = summarise(parent, change, end_to_end)
     if "environment" not in summary:
         ap.error("no workload and seed was run on both sides")
+    bad = mismatched_pairs(parent, change)
+    if bad:
+        ap.error("unmatched pairs:\n  " + "\n  ".join(bad))
     args.out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return 0
 

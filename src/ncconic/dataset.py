@@ -11,6 +11,7 @@ an explicit skip or note, never a silent pass.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 from dataclasses import dataclass, field
 
 from .elements import (
@@ -538,11 +539,9 @@ def verify_geometry_row(row: TableRow) -> list[CheckResult]:
     results.append(_res(row, "sigma_squared_identity", all(sigma[sigma[p]] == p for p in pts)))
     triples_want = row.expect1("collinear_triples")
     if triples_want is not None:
-        import itertools as _it
-
         triples = sum(
             1
-            for combo in _it.combinations(pts, 3)
+            for combo in itertools.combinations(pts, 3)
             if rank([list(p) for p in combo], spec) == 2
         )
         results.append(

@@ -14,6 +14,7 @@ all degrees.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .freealg import NcPoly
@@ -244,11 +245,9 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
 
     # normality forces span{w x_j} = span{x_i w}, so the combined 4x6 matrix
     # has rank <= 3: every 4x4 minor vanishes
-    import itertools as _it
-
     all_cols = right_cols + left_cols
     eqs = []
-    for q in pool_minors(all_cols, list(_it.combinations(range(6), 4))):
+    for q in pool_minors(all_cols, list(itertools.combinations(range(6), 4))):
         if not q.is_zero():
             q = q.monic()
             if q not in eqs:

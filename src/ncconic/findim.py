@@ -26,6 +26,7 @@ from .linalg import (
     reduce_by_echelon,
     rref,
 )
+from .rewrite import complete, graded_basis, normal_form
 from .scalars import FieldSpec, Scalar, one, zero
 
 
@@ -145,8 +146,6 @@ def from_presentation(relations: list[NcPoly], bound: int = 8) -> FiniteAlgebra:
     lower half of the horizon so that products of basis words reduce inside
     the verified range; associativity and the unit laws are then checked
     exactly."""
-    from .rewrite import complete, graded_basis
-
     if not relations:
         raise ValueError("need at least one relation")
     amb = relations[0].ambient
@@ -170,7 +169,6 @@ def from_presentation(relations: list[NcPoly], bound: int = 8) -> FiniteAlgebra:
             last_err = f"reduced words exceed half the horizon {L}"
             continue
         index = {w: i for i, w in enumerate(basis)}
-        from .rewrite import normal_form
 
         def red_vec(w1: Word, w2: Word) -> Vector:
             nf = normal_form(rs, NcPoly.monomial(amb, w1 + w2))

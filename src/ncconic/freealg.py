@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import FieldSpec, Scalar, one, zero
+from .scalars import FieldSpec, Scalar, one
 
 Word = tuple[int, ...]
 
@@ -122,17 +122,15 @@ class NcPoly:
     def __add__(self, other: "NcPoly") -> "NcPoly":
         self._check(other)
         terms = dict(self.terms)
-        z = zero(self.ambient.spec)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, z) + c
+            terms[w] = terms[w] + c if w in terms else c
         return NcPoly(self.ambient, terms)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         self._check(other)
         terms = dict(self.terms)
-        z = zero(self.ambient.spec)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, z) - c
+            terms[w] = terms[w] - c if w in terms else -c
         return NcPoly(self.ambient, terms)
 
     def __neg__(self) -> "NcPoly":
@@ -146,11 +144,11 @@ class NcPoly:
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         self._check(other)
         terms: dict[Word, Scalar] = {}
-        z = zero(self.ambient.spec)
         for u, a in self.terms.items():
             for v, b in other.terms.items():
                 w = u + v
-                terms[w] = terms.get(w, z) + a * b
+                p = a * b
+                terms[w] = terms[w] + p if w in terms else p
         return NcPoly(self.ambient, terms)
 
     def __eq__(self, other):
@@ -263,10 +261,9 @@ def dehomogenize_poly(f: NcPoly, z: int) -> NcPoly:
         raise ValueError(f"generator index {z} out of range")
     small = amb.without(z)
     out: dict[Word, Scalar] = {}
-    zr = zero(amb.spec)
     for w, c in f.terms.items():
         nw = tuple(i if i < z else i - 1 for i in w if i != z)
-        out[nw] = out.get(nw, zr) + c
+        out[nw] = out[nw] + c if nw in out else c
     return NcPoly(small, out)
 
 

@@ -1,7 +1,9 @@
 """Presented graded algebras A = k<x_1,...,x_n>/I with Hilbert prefixes.
 
 A GradedAlgebra couples a presentation with a degree-truncated confluent
-rewrite system, cached graded bases, and the dimension prefix.  hilbert_drop
+rewrite system, cached graded bases, and the dimension prefix.  A quotient
+A/(f) extends A's rules by f (rewrite.extend, Bergman's diamond lemma)
+instead of completing its presentation from scratch.  hilbert_drop
 is the one regularity test for normal elements, the coefficientwise identity
 H_{A/(f)} = (1 - t^d) * H_A up to the truncation degree; the
 regular-normal-sequence test applies it element by element.
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .freealg import Ambient, MonomialOrder, NcPoly, Word
 from .linalg import Vector
-from .rewrite import RewriteSystem, complete, graded_basis, normal_form
+from .rewrite import RewriteSystem, complete, extend, graded_basis, normal_form
 from .scalars import zero
 
 
@@ -99,22 +101,26 @@ class GradedAlgebra:
         return None
 
 
-def build(p: Presentation, D: int, order: MonomialOrder | None = None) -> GradedAlgebra:
-    if D < 2:
-        raise ValueError("truncation must be at least 2")
-    rs = complete(p.relations, D, order)
+def _algebra(p: Presentation, rs: RewriteSystem) -> GradedAlgebra:
     alg = GradedAlgebra(p, rs, [])
     alg.dims = [alg.dim(d) for d in range(rs.confluent_up_to + 1)]
     return alg
 
 
-def quotient(A: GradedAlgebra, fs: NcPoly | list[NcPoly], D: int | None = None) -> GradedAlgebra:
+def build(p: Presentation, D: int, order: MonomialOrder | None = None) -> GradedAlgebra:
+    if D < 2:
+        raise ValueError("truncation must be at least 2")
+    return _algebra(p, complete(p.relations, D, order))
+
+
+def quotient(A: GradedAlgebra, fs: NcPoly | list[NcPoly]) -> GradedAlgebra:
+    """A/(fs) at A's truncation and order: A's rules extended by fs."""
     if isinstance(fs, NcPoly):
         fs = [fs]
     for f in fs:
         if f.is_zero():
             raise ValueError("cannot quotient by the zero polynomial")
-    return build(A.presentation.with_extra(fs), D or A.rs.truncation, A.rs.order)
+    return _algebra(A.presentation.with_extra(fs), extend(A.rs, fs))
 
 
 @dataclass

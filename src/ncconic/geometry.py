@@ -31,7 +31,7 @@ import sympy
 
 from .freealg import NcPoly, format_term
 from .linalg import kernel_basis, krylov_min_poly
-from .scalars import FieldSpec, Scalar, one, zero
+from .scalars import FieldMismatch, FieldSpec, Scalar, one, zero
 
 Monomial = tuple[int, ...]
 
@@ -86,18 +86,23 @@ class CommPoly:
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=-1)
 
+    def _check(self, other: "CommPoly"):
+        # terms new to self are copied, not added to a zero of self's field
+        if other.terms and self.spec is not other.spec and self.spec != other.spec:
+            raise FieldMismatch(f"{self.spec} vs {other.spec}")
+
     def __add__(self, other: "CommPoly") -> "CommPoly":
+        self._check(other)
         t = dict(self.terms)
-        z = zero(self.spec)
         for m, c in other.terms.items():
-            t[m] = t.get(m, z) + c
+            t[m] = t[m] + c if m in t else c
         return CommPoly(self.nvars, self.spec, t)
 
     def __sub__(self, other: "CommPoly") -> "CommPoly":
+        self._check(other)
         t = dict(self.terms)
-        z = zero(self.spec)
         for m, c in other.terms.items():
-            t[m] = t.get(m, z) - c
+            t[m] = t[m] - c if m in t else -c
         return CommPoly(self.nvars, self.spec, t)
 
     def __neg__(self) -> "CommPoly":
@@ -108,11 +113,11 @@ class CommPoly:
 
     def __mul__(self, other: "CommPoly") -> "CommPoly":
         t: dict[Monomial, Scalar] = {}
-        z = zero(self.spec)
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                t[m] = t.get(m, z) + c1 * c2
+                p = c1 * c2
+                t[m] = t[m] + p if m in t else p
         return CommPoly(self.nvars, self.spec, t)
 
     def __eq__(self, other):
@@ -162,13 +167,12 @@ class CommPoly:
     def substitute_value(self, i: int, value: Scalar) -> "CommPoly":
         """Plug var_i = value; variable i no longer occurs."""
         t: dict[Monomial, Scalar] = {}
-        z = zero(self.spec)
         for m, c in self.terms.items():
             v = c
             for _ in range(m[i]):
                 v = v * value
             nm = m[:i] + (0,) + m[i + 1 :]
-            t[nm] = t.get(nm, z) + v
+            t[nm] = t[nm] + v if nm in t else v
         return CommPoly(self.nvars, self.spec, t)
 
     def variables(self) -> set[int]:

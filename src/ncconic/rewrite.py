@@ -5,6 +5,12 @@ smaller; the rule set is kept inter-reduced (no lead is a subword of another
 lead), so at most one rule applies at any position of a word.  Overlap
 ambiguities are queued by total degree ascending with the monomial order of
 the overlap word as tie-break, which makes completion reproducible.
+
+A normal form rewrites the largest pending word first; the pending words sit
+on a max-heap in the monomial order, each keyed once, and each is popped
+once.  extend adds relations to a finished system: by Bergman's diamond lemma
+only the overlaps involving the new rules are resolved, which is how a graded
+quotient A/(f) reuses the completion of A.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import heapq
 from dataclasses import dataclass
 
 from .freealg import Ambient, MonomialOrder, NcPoly, Word
-from .scalars import zero
 
 
 class TruncationTooSmall(Exception):
@@ -50,25 +55,35 @@ def _find_redex(w: Word, leads_by_len: dict[int, set[Word]]) -> tuple[int, Word]
 
 def _reduce(rs: RewriteSystem | _Engine, f: NcPoly) -> NcPoly:
     """Normal form of f under the rules of rs (a finished system or one being
-    completed): rewrite the largest reducible word until none is left."""
+    completed): rewrite the largest reducible word until none is left.
+
+    Pending words wait on a heap under their negated order key, computed once
+    per word.  A rewrite yields only words below the one rewritten, so each
+    word is popped once, and an irreducible word is final when it is popped."""
     work = dict(f.terms)
+    neg = tuple(-p for p in rs.order.precedence)
+    heap = [(-len(w), tuple(neg[i] for i in w), w) for w in work]
+    heapq.heapify(heap)
     out: dict[Word, object] = {}
-    z = zero(rs.ambient.spec)
-    key = rs.order.key
-    while work:
-        w = max(work, key=key)
+    while heap:
+        w = heapq.heappop(heap)[2]
         c = work.pop(w)
         if c.is_zero():
             continue
         m = _find_redex(w, rs.leads_by_len)
         if m is None:
-            out[w] = out.get(w, z) + c
+            out[w] = c
             continue
         pos, lead = m
         a, b = w[:pos], w[pos + len(lead) :]
         for v, cv in rs.rules[lead].terms.items():
             nw = a + v + b
-            work[nw] = work.get(nw, z) + c * cv
+            p = c * cv
+            if nw in work:
+                work[nw] = work[nw] + p
+            else:
+                work[nw] = p
+                heapq.heappush(heap, (-len(nw), tuple(neg[i] for i in nw), nw))
     return NcPoly(rs.ambient, out)
 
 
@@ -85,7 +100,10 @@ class _Engine:
 
     def _remove_rule(self, lead: Word):
         del self.rules[lead]
-        self.leads_by_len[len(lead)].discard(lead)
+        leads = self.leads_by_len[len(lead)]
+        leads.discard(lead)
+        if not leads:
+            del self.leads_by_len[len(lead)]
 
     def _push_overlaps(self, u: Word):
         for v in list(self.rules):
@@ -154,6 +172,26 @@ def _overlaps(u: Word, v: Word):
             yield u[: len(u) - ls], s, v[ls:]
 
 
+def _system(eng: _Engine, rels: list[NcPoly], allow_inhomogeneous: bool) -> RewriteSystem:
+    """Add the nonzero rels to eng by degree, then leading word, resolve every
+    queued overlap and assemble the system."""
+    D, order = eng.D, eng.order
+    maxdeg = 0
+    for r in rels:
+        if not allow_inhomogeneous and not r.is_homogeneous():
+            raise ValueError(f"relation {r} is not homogeneous")
+        if r.degree() < 1:
+            raise ValueError("degree-0 relation")
+        maxdeg = max(maxdeg, r.degree())
+    if D < maxdeg:
+        raise TruncationTooSmall(f"D={D} below max relation degree {maxdeg}")
+    for r in sorted(rels, key=lambda p: (p.degree(), order.key(p.leading(order)[0]))):
+        eng.add(r)
+    eng.run()
+    confluent = D if not eng.overflow else min(D, min(f.degree() for f in eng.overflow) - 1)
+    return RewriteSystem(eng.ambient, order, eng.rules, D, confluent, eng.overflow, eng.leads_by_len)
+
+
 def complete(
     relations: list[NcPoly],
     D: int,
@@ -171,21 +209,24 @@ def complete(
     ambient = rels[0].ambient
     if order is None:
         order = MonomialOrder.default(ambient.n)
-    maxdeg = 0
-    for r in rels:
-        if not allow_inhomogeneous and not r.is_homogeneous():
-            raise ValueError(f"relation {r} is not homogeneous")
-        if r.degree() < 1:
-            raise ValueError("degree-0 relation")
-        maxdeg = max(maxdeg, r.degree())
-    if D < maxdeg:
-        raise TruncationTooSmall(f"D={D} below max relation degree {maxdeg}")
-    eng = _Engine(ambient, order, D)
-    for r in sorted(rels, key=lambda p: (p.degree(), order.key(p.leading(order)[0]))):
-        eng.add(r)
-    eng.run()
-    confluent = D if not eng.overflow else min(D, min(f.degree() for f in eng.overflow) - 1)
-    return RewriteSystem(ambient, order, eng.rules, D, confluent, eng.overflow, eng.leads_by_len)
+    return _system(_Engine(ambient, order, D), rels, allow_inhomogeneous)
+
+
+def extend(rs: RewriteSystem, extra: list[NcPoly]) -> RewriteSystem:
+    """The system of rs's relations and the homogeneous extra, at rs's
+    truncation, without redoing rs's completion.
+
+    The rules of rs are confluent up to the truncation, so by Bergman's
+    diamond lemma only overlaps that involve a rule added here (an extra
+    relation, or an evicted rule re-added) need resolving: the engine starts
+    from a copy of rs's rules with no overlap queued.  A homogeneous
+    truncated reduced basis is unique, so the rules equal those of a
+    completion from scratch."""
+    eng = _Engine(rs.ambient, rs.order, rs.truncation)
+    eng.rules = dict(rs.rules)
+    eng.leads_by_len = {n: set(leads) for n, leads in rs.leads_by_len.items()}
+    eng.overflow = list(rs.overflow)
+    return _system(eng, [r for r in extra if not r.is_zero()], False)
 
 
 def normal_form(rs: RewriteSystem, f: NcPoly) -> NcPoly:

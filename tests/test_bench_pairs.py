@@ -10,10 +10,11 @@ SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 
 
 def _write_result(out_dir: Path, workload: str, seed: int, trace: int, attempted: int,
-                  metrics: dict, counts: dict | None = None, commit: str = "c0"):
+                  metrics: dict, counts: dict | None = None, commit: str = "c0",
+                  seconds: float = 30.0):
     record = {"commit": commit, "source_digest": "d" + commit, "python": "3.11.7",
               "sympy": "1.14.0", "nproc": 2, "workload": workload, "seed": seed,
-              "seconds": 30.0, "trace": trace}
+              "seconds": seconds, "trace": trace}
     if counts is not None:
         record["counts"] = counts
     result = {"correct": True, "attempted": attempted, "failed": 0,
@@ -73,4 +74,36 @@ def test_bench_pairs_rejects_unpaired_directories(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 2 and "no workload and seed" in proc.stderr
+    assert not (tmp_path / "B.json").exists()
+
+
+def _run(parent, change, out):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), str(parent), str(change), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+
+
+def test_bench_pairs_rejects_a_pair_of_the_same_source(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        _write_result(parent, "deep_truncation", seed, 0, 134, _e2e(20.0, 20.0, 59.0), commit="p")
+    _write_result(change, "deep_truncation", 1, 0, 268, _e2e(34.0, 14.0, 59.0), commit="c")
+    # the change side of seed 2 ran the parent's source
+    _write_result(change, "deep_truncation", 2, 0, 134, _e2e(20.5, 20.0, 59.0), commit="p")
+    proc = _run(parent, change, tmp_path / "B.json")
+    assert proc.returncode == 2
+    assert "deep_truncation/seed2/trace0: both sides ran source dp" in proc.stderr
+    assert "seed1" not in proc.stderr
+    assert not (tmp_path / "B.json").exists()
+
+
+def test_bench_pairs_rejects_a_pair_of_different_lengths(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write_result(parent, "cli_generic", 3, 0, 154, _e2e(36.0, 14.0, 60.0), commit="p")
+    _write_result(change, "cli_generic", 3, 0, 154, _e2e(42.0, 12.0, 60.0), commit="c",
+                  seconds=10.0)
+    proc = _run(parent, change, tmp_path / "B.json")
+    assert proc.returncode == 2
+    assert "cli_generic/seed3/trace0: --seconds 30.0 against 10.0" in proc.stderr
     assert not (tmp_path / "B.json").exists()

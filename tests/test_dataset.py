@@ -2,7 +2,7 @@ import io
 import sys
 from collections import Counter
 
-from ncconic import dataset, elements, findim, geometry, homog, linalg
+from ncconic import dataset, elements, findim, geometry, homog, linalg, rewrite
 
 EXPECTED_ROWS = {
     "1": 10,
@@ -111,6 +111,15 @@ def test_row_reductions_are_bounded(monkeypatch):
     row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
     assert all(r.status == "PASS" for r in dataset.verify_row(row))
     assert len(reductions) <= 40
+
+
+def test_quotients_do_not_complete_from_scratch(monkeypatch):
+    # A, S and the dual A^! are completed once each; the four quotient
+    # Hilbert tests on A^! extend its rules instead of completing A^!/(w)
+    completions = _count_calls(monkeypatch, rewrite, "complete")
+    row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
+    assert all(r.status == "PASS" for r in dataset.verify_row(row))
+    assert len(completions) <= 3
 
 
 def test_transcendental_coordinate_skips_krylov(monkeypatch):

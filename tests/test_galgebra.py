@@ -1,14 +1,18 @@
 import pytest
 
+from ncconic import dataset, galgebra
+from ncconic.elements import center_degree
 from ncconic.freealg import Ambient, NcPoly
 from ncconic.galgebra import (
     InconclusiveTruncation,
     Presentation,
     build,
+    hilbert_drop,
     is_regular_normal_sequence,
     quotient,
 )
-from ncconic.scalars import QQ
+from ncconic.rewrite import TruncationTooSmall
+from ncconic.scalars import QQ, Scalar
 
 AMB = Ambient(("x", "y", "z"), QQ)
 X, Y, Z = (NcPoly.generator(AMB, i) for i in range(3))
@@ -79,6 +83,80 @@ def test_quotient_rejects_zero():
     A = build(Presentation(AMB, S_RELS), 4)
     with pytest.raises(ValueError):
         quotient(A, NcPoly.zero(AMB))
+
+
+def test_quotient_rejects_degree_above_truncation():
+    A = build(Presentation(AMB, S_RELS), 3)
+    with pytest.raises(TruncationTooSmall):
+        quotient(A, X * X * Y * Y)
+
+
+# -- quotients extend A's rules: the same system as a completion from scratch ---
+
+
+def assert_extension_is_completion(A, fs, Q):
+    fs = [fs] if isinstance(fs, NcPoly) else fs
+    ref = build(A.presentation.with_extra(fs), A.rs.truncation, A.rs.order)
+    assert Q.presentation.relations == ref.presentation.relations
+    assert Q.rs.rules == ref.rs.rules
+    assert Q.rs.leads_by_len == ref.rs.leads_by_len
+    assert Q.rs.confluent_up_to == ref.rs.confluent_up_to
+    assert Q.dims == ref.dims
+
+
+def recorded_quotients(monkeypatch) -> list:
+    """Every (A, fs, A/(fs)) that galgebra.quotient returns while the test runs;
+    hilbert_drop looks quotient up in galgebra, so its calls are recorded."""
+    seen = []
+    original = galgebra.quotient
+
+    def recording(A, fs):
+        Q = original(A, fs)
+        seen.append((A, fs, Q))
+        return Q
+
+    monkeypatch.setattr(galgebra, "quotient", recording)
+    return seen
+
+
+def test_quotients_of_conic_duals_match_completion(monkeypatch):
+    seen = recorded_quotients(monkeypatch)
+    rows = {(r.table, r.label): r for r in dataset.load_rows()}
+    for key in (("5", "A2"), ("12", "K2")):
+        assert all(r.status == "PASS" for r in dataset.verify_row(rows[key]))
+    assert len(seen) == 9
+    for A, fs, Q in seen:
+        assert_extension_is_completion(A, fs, Q)
+
+
+def test_quotients_of_a_center_algebra_match_completion(monkeypatch):
+    # table-3 row P1(1,1,-1) in generic coordinates: every central quadric,
+    # then a chain of three, so that quotients of quotients are extended too
+    row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("3", "P1(1,1,-1)"))
+    m = [[Scalar.of(v, QQ) for v in vs] for vs in ((1, 1, 1), (1, -1, 1), (1, 1, -1))]
+    S = build(Presentation(AMB, [r.map_linear(m) for r in row.relations]), 5)
+    center = center_degree(S, 2)
+    assert len(center) == 4
+    seen = recorded_quotients(monkeypatch)
+    for w in center:
+        hilbert_drop(S, w)
+    is_regular_normal_sequence(S, center[:3])
+    assert len(seen) == 7
+    for A, fs, Q in seen:
+        assert_extension_is_completion(A, fs, Q)
+
+
+def test_quotient_evicts_a_rule_whose_lead_contains_the_new_lead():
+    amb = Ambient(("x", "y"), QQ)
+    x, y = NcPoly.generator(amb, 0), NcPoly.generator(amb, 1)
+    A = build(Presentation(amb, [y * y * x - x * x * y]), 5)
+    assert set(A.rs.rules) == {(1, 1, 0)}
+    f = y * x - x * y
+    Q = quotient(A, f)
+    # yx is a subword of yyx, whose rule is evicted and re-added as xyy -> xxy
+    assert set(Q.rs.rules) == {(1, 0), (0, 1, 1)}
+    assert set(A.rs.rules) == {(1, 1, 0)}  # A's system is left as it was
+    assert_extension_is_completion(A, f, Q)
 
 
 def test_inconclusive_truncation():

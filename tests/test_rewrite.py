@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -11,7 +12,7 @@ from ncconic.rewrite import (
     graded_basis,
     normal_form,
 )
-from ncconic.scalars import QQ, Scalar
+from ncconic.scalars import QI, QQ, Scalar, zero
 
 AMB = Ambient(("x", "y", "z"), QQ)
 X, Y, Z = (NcPoly.generator(AMB, i) for i in range(3))
@@ -108,3 +109,76 @@ def test_dims_order_independent():
         if base is None:
             base = dims
         assert dims == base
+
+
+# -- the heap reducer against the rescanning reducer it replaced ----------------
+
+
+def reference_normal_form(rs, f):
+    """Rewrite the largest pending word, found by a scan of every pending
+    word, at the leftmost position where a lead occurs."""
+    z = zero(rs.ambient.spec)
+    work, out = dict(f.terms), {}
+    while work:
+        w = max(work, key=rs.order.key)
+        c = work.pop(w)
+        if c.is_zero():
+            continue
+        hit = next(
+            ((p, u) for p in range(len(w)) for u in rs.rules if w[p : p + len(u)] == u), None
+        )
+        if hit is None:
+            out[w] = out.get(w, z) + c
+            continue
+        p, u = hit
+        for v, cv in rs.rules[u].terms.items():
+            nw = w[:p] + v + w[p + len(u) :]
+            work[nw] = work.get(nw, z) + c * cv
+    return NcPoly(rs.ambient, out)
+
+
+@functools.cache
+def oracle_system(name):
+    """A completed system to check the heap reducer on: a Sklyanin-type
+    algebra in generic coordinates over Q or over Q(i), or an inhomogeneous
+    finite-dimensional presentation."""
+    if name == "inhomogeneous":
+        amb2 = Ambient(("x", "y"), QQ)
+        x, y = NcPoly.generator(amb2, 0), NcPoly.generator(amb2, 1)
+        one = NcPoly.scalar(amb2, 1)
+        return complete([x * y - y * x, x * x - y - one, y * y - one], 6, allow_inhomogeneous=True)
+    spec = QQ if name == "generic_Q" else QI
+    amb = Ambient(("x", "y", "z"), spec)
+    x, y, z = (NcPoly.generator(amb, i) for i in range(3))
+    sk = [y * z + z * y + x * x, z * x + x * z + y * y, x * y + y * x]
+    if spec == QQ:
+        m = [[Scalar.of(v, QQ) for v in row] for row in ((1, 1, 1), (1, -1, 1), (1, 1, -1))]
+    else:
+        o, i, n = Scalar.of(1, QI), Scalar.sqrt_part(1, QI), zero(QI)
+        m = [[o, i, n], [n, o, i], [i, n, o + o]]
+    return complete([r.map_linear(m) for r in sk], 4)
+
+
+@pytest.mark.parametrize("name", ["generic_Q", "generic_Qi", "inhomogeneous"])
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(tuple),
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-2, max_value=2),
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_heap_reducer_matches_rescanning_reference(name, terms):
+    rs = oracle_system(name)
+    amb = rs.ambient
+    spec = amb.spec
+    coeffs = {}
+    for w, a, b in terms:
+        w = tuple(i % amb.n for i in w)
+        c = Scalar.of(a, spec) + (Scalar.sqrt_part(b, spec) if spec.d is not None else zero(spec))
+        coeffs[w] = coeffs[w] + c if w in coeffs else c
+    f = NcPoly(amb, coeffs)
+    assert normal_form(rs, f) == reference_normal_form(rs, f)
