@@ -8,7 +8,12 @@ the overlap word as tie-break, which makes completion reproducible.
 
 A normal form rewrites the largest pending word first; the pending words sit
 on a max-heap in the monomial order, each keyed once, and each is popped
-once.  extend adds relations to a finished system: by Bergman's diamond lemma
+once.  The loop runs on bare coefficients (scalars.boundary), unwrapped as
+they enter it; each surviving term is wrapped once at the end.  Since the
+loop no longer checks fields per product, a polynomial from another ambient
+is refused on entry with AmbientMismatch.
+
+extend adds relations to a finished system: by Bergman's diamond lemma
 only the overlaps involving the new rules are resolved, which is how a graded
 quotient A/(f) reuses the completion of A.
 """
@@ -18,7 +23,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .freealg import Ambient, MonomialOrder, NcPoly, Word
+from .freealg import Ambient, AmbientMismatch, MonomialOrder, NcPoly, Word
+from .scalars import Scalar, boundary
 
 
 class TruncationTooSmall(Exception):
@@ -39,9 +45,6 @@ class RewriteSystem:
     overflow: list[NcPoly]
     leads_by_len: dict[int, set[Word]]  # the leads of rules, by length
 
-    def leads(self) -> list[Word]:
-        return sorted(self.rules, key=self.order.key)
-
 
 def _find_redex(w: Word, leads_by_len: dict[int, set[Word]]) -> tuple[int, Word] | None:
     """Leftmost position where some lead occurs as a subword of w."""
@@ -59,26 +62,32 @@ def _reduce(rs: RewriteSystem | _Engine, f: NcPoly) -> NcPoly:
 
     Pending words wait on a heap under their negated order key, computed once
     per word.  A rewrite yields only words below the one rewritten, so each
-    word is popped once, and an irreducible word is final when it is popped."""
-    work = dict(f.terms)
+    word is popped once, and an irreducible word is final when it is popped.
+    The loop runs on bare coefficients: f's are unwrapped on entry, a rule's
+    as it is applied, and each surviving term is wrapped once at the end."""
+    if f.ambient is not rs.ambient and f.ambient != rs.ambient:
+        raise AmbientMismatch(f"{f.ambient} vs {rs.ambient}")
+    unwrap, wrap = boundary(rs.ambient.spec)
+    work = {w: unwrap(c) for w, c in f.terms.items()}
     neg = tuple(-p for p in rs.order.precedence)
     heap = [(-len(w), tuple(neg[i] for i in w), w) for w in work]
     heapq.heapify(heap)
-    out: dict[Word, object] = {}
+    out: dict[Word, Scalar] = {}
     while heap:
         w = heapq.heappop(heap)[2]
         c = work.pop(w)
-        if c.is_zero():
+        if not c:
             continue
         m = _find_redex(w, rs.leads_by_len)
         if m is None:
-            out[w] = c
+            s = f.terms.get(w)  # a term left untouched keeps its Scalar
+            out[w] = s if s is not None and unwrap(s) is c else wrap(c)
             continue
         pos, lead = m
         a, b = w[:pos], w[pos + len(lead) :]
         for v, cv in rs.rules[lead].terms.items():
             nw = a + v + b
-            p = c * cv
+            p = c * unwrap(cv)
             if nw in work:
                 work[nw] = work[nw] + p
             else:

@@ -9,13 +9,18 @@ shared instance per field.  Over Q, arithmetic computes only the rational
 part, and every result carries the shared zero Fraction as its sqrt(d)
 part.  Every construction, arithmetic results included, is still
 validated: a nonzero sqrt(d) part over Q raises ``ValueError``.
+
+A kernel that makes many products and sums can run on bare values and
+wrap ``Scalar`` only at its boundary: ``boundary(spec)`` gives the
+``(unwrap, wrap)`` pair of a field.  Over Q the bare value is the
+``Fraction`` a; over Q(sqrt(d)) it is the ``Scalar`` itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 class FieldMismatch(Exception):
@@ -184,14 +189,6 @@ class Scalar:
 
     # -- misc ----------------------------------------------------------------
 
-    def to_complex(self) -> complex:
-        """Float embedding (sqrt(d) -> i*sqrt(|d|) for d < 0); sanity checks only."""
-        if self.spec.is_rational:
-            return complex(self.a)
-        d = self.spec.d
-        root = math.sqrt(d) if d > 0 else 1j * math.sqrt(-d)
-        return complex(self.a) + complex(self.b) * root
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)
@@ -224,3 +221,22 @@ def one(spec: FieldSpec) -> Scalar:
     if o is None:
         o = _ONE[spec] = Scalar(_F1, _F0, spec)
     return o
+
+
+_BOUNDARY: dict[FieldSpec, tuple] = {}
+
+
+def boundary(spec: FieldSpec) -> tuple:
+    """(unwrap, wrap) for a kernel on bare values over spec: unwrap takes a
+    Scalar of spec to its bare value, wrap takes a bare value to a validated
+    Scalar and a zero to the shared zero(spec).  Over Q unwrap reads only the
+    rational part, so the caller checks the field, once, before unwrapping."""
+    pair = _BOUNDARY.get(spec)
+    if pair is None:
+        z = zero(spec)
+        if spec.d is None:
+            pair = (attrgetter("a"), lambda a: Scalar(a, _F0, spec) if a else z)
+        else:
+            pair = (lambda x: x, lambda x: x if x else z)
+        _BOUNDARY[spec] = pair
+    return pair

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncconic.freealg import Ambient, MonomialOrder, NcPoly
+from ncconic.freealg import Ambient, AmbientMismatch, MonomialOrder, NcPoly
 from ncconic.rewrite import (
     DegreeExceedsTruncation,
     TruncationTooSmall,
@@ -12,7 +12,7 @@ from ncconic.rewrite import (
     graded_basis,
     normal_form,
 )
-from ncconic.scalars import QI, QQ, Scalar, zero
+from ncconic.scalars import QI, QQ, FieldSpec, Scalar, zero
 
 AMB = Ambient(("x", "y", "z"), QQ)
 X, Y, Z = (NcPoly.generator(AMB, i) for i in range(3))
@@ -78,6 +78,18 @@ def test_normal_form_examples():
         assert normal_form(rs, NcPoly.monomial(AMB, w)) == NcPoly.monomial(AMB, w)
 
 
+def test_normal_form_rejects_a_foreign_ambient():
+    rs = t1_system()
+    amb_i = Ambient(AMB.names, QI)
+    ixy = NcPoly(amb_i, {(0, 1): Scalar.sqrt_part(1, QI)})
+    with pytest.raises(AmbientMismatch):
+        normal_form(rs, ixy)
+    amb2 = Ambient(("x", "y"), QQ)
+    rs2 = complete([NcPoly.monomial(amb2, (1, 0)) - NcPoly.monomial(amb2, (0, 1))], 4)
+    with pytest.raises(AmbientMismatch):
+        normal_form(rs2, X * Z)
+
+
 small_polys = st.lists(
     st.tuples(
         st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=3).map(tuple),
@@ -140,26 +152,26 @@ def reference_normal_form(rs, f):
 @functools.cache
 def oracle_system(name):
     """A completed system to check the heap reducer on: a Sklyanin-type
-    algebra in generic coordinates over Q or over Q(i), or an inhomogeneous
-    finite-dimensional presentation."""
+    algebra in generic coordinates over Q, Q(i) or Q(sqrt 2), or an
+    inhomogeneous finite-dimensional presentation."""
     if name == "inhomogeneous":
         amb2 = Ambient(("x", "y"), QQ)
         x, y = NcPoly.generator(amb2, 0), NcPoly.generator(amb2, 1)
         one = NcPoly.scalar(amb2, 1)
         return complete([x * y - y * x, x * x - y - one, y * y - one], 6, allow_inhomogeneous=True)
-    spec = QQ if name == "generic_Q" else QI
+    spec = {"generic_Q": QQ, "generic_Qi": QI, "generic_Q2": FieldSpec(2)}[name]
     amb = Ambient(("x", "y", "z"), spec)
     x, y, z = (NcPoly.generator(amb, i) for i in range(3))
     sk = [y * z + z * y + x * x, z * x + x * z + y * y, x * y + y * x]
     if spec == QQ:
         m = [[Scalar.of(v, QQ) for v in row] for row in ((1, 1, 1), (1, -1, 1), (1, 1, -1))]
     else:
-        o, i, n = Scalar.of(1, QI), Scalar.sqrt_part(1, QI), zero(QI)
-        m = [[o, i, n], [n, o, i], [i, n, o + o]]
+        o, s, n = Scalar.of(1, spec), Scalar.sqrt_part(1, spec), zero(spec)
+        m = [[o, s, n], [n, o, s], [s, n, o + o]]
     return complete([r.map_linear(m) for r in sk], 4)
 
 
-@pytest.mark.parametrize("name", ["generic_Q", "generic_Qi", "inhomogeneous"])
+@pytest.mark.parametrize("name", ["generic_Q", "generic_Qi", "generic_Q2", "inhomogeneous"])
 @given(
     terms=st.lists(
         st.tuples(
