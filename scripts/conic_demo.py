@@ -35,7 +35,7 @@ def main():
         print(f"  degree-1 {kind} element {print_poly(c.w)}: regular = {c.regular}")
 
     res = compute_C(A, split=(Presentation(amb, rels[:-1]), rels[-1]), search=search)
-    frob, _ = is_frobenius(res.algebra)
+    frob = is_frobenius(res.algebra)
     print(f"C(A) via {res.path}: dim {res.algebra.dim}, frobenius = {frob}")
     print("class:", classify(res.algebra))
 

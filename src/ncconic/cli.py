@@ -167,8 +167,7 @@ def cmd_classify(args, out) -> int:
     pf = _load(args.file)
     A = from_presentation(pf.relations)
     out.write(f"dim {A.dim}\n")
-    frob, _ = is_frobenius(A)
-    out.write(f"frobenius: {'yes' if frob else 'no'}\n")
+    out.write(f"frobenius: {'yes' if is_frobenius(A) else 'no'}\n")
     out.write(f"class: {classify(A)}\n")
     return 0
 

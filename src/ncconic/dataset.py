@@ -313,8 +313,7 @@ def verify_conic_row(row: TableRow) -> list[CheckResult]:
     try:
         res = compute_C(A, split=(S_pres, f), search=search)
         results.append(_res(row, "C_dim4", res.algebra.dim == 4, f"dim {res.algebra.dim}"))
-        frob, _ = is_frobenius(res.algebra)
-        results.append(_res(row, "C_frobenius", frob))
+        results.append(_res(row, "C_frobenius", is_frobenius(res.algebra)))
         got = classify(res.algebra)
         _class_matches(row, got, results)
     except Exception as e:
@@ -582,8 +581,7 @@ def verify_pencil_row(row: TableRow) -> list[CheckResult]:
     results.append(_res(row, "model_dim", E.dim == want_dim, f"dim {E.dim}"))
     if not want_strong:
         return results
-    frob, _ = is_frobenius(E)
-    results.append(_res(row, "model_frobenius", frob))
+    results.append(_res(row, "model_frobenius", is_frobenius(E)))
     try:
         got = classify(E)
         _class_matches(row, got, results)
@@ -610,8 +608,8 @@ def verify_conic_class_row(row: TableRow) -> list[CheckResult]:
     f = row.relations[-1]
     try:
         res = compute_C(A, split=(S_pres, f))
-        frob, _ = is_frobenius(res.algebra)
-        results.append(_res(row, "C_frobenius_dim4", frob and res.algebra.dim == 4))
+        frob = is_frobenius(res.algebra) and res.algebra.dim == 4
+        results.append(_res(row, "C_frobenius_dim4", frob))
         got = classify(res.algebra)
         _class_matches(row, got, results)
     except Exception as e:

@@ -10,7 +10,6 @@ the three shapes and carries the twist parameter.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .freealg import NcPoly, Word, _format_word
@@ -75,7 +74,7 @@ class FiniteAlgebra:
             for row in table
         ]
         self._validate()
-        self._frobenius: tuple[bool, Vector | None] | None = None  # is_frobenius memo
+        self._frobenius: bool | None = None  # is_frobenius memo
 
     def _combine(self, terms) -> Vector:
         """sum of c * r over the (c, r) in terms, each r a sparse row."""
@@ -190,17 +189,17 @@ def from_presentation(relations: list[NcPoly], bound: int = 8) -> FiniteAlgebra:
 # -- Frobenius form existence ------------------------------------------------------
 
 
-def is_frobenius(A: FiniteAlgebra) -> tuple[bool, Vector | None]:
-    """Existence of phi with det(phi(e_a e_b))_ab != 0, by symbolic expansion
-    of the determinant in the phi coordinates; witness from a deterministic
-    grid (guaranteed by the per-variable degree bound).  Computed once per
-    algebra."""
+def is_frobenius(A: FiniteAlgebra) -> bool:
+    """Existence of phi with det(phi(e_a e_b))_ab != 0: true exactly when that
+    determinant, expanded symbolically in the phi coordinates, is a nonzero
+    polynomial (a nonzero polynomial over an infinite field has a nonzero
+    value, so no witness point is needed).  Computed once per algebra."""
     if A._frobenius is None:
         A._frobenius = _frobenius_form(A)
     return A._frobenius
 
 
-def _frobenius_form(A: FiniteAlgebra) -> tuple[bool, Vector | None]:
+def _frobenius_form(A: FiniteAlgebra) -> bool:
     N = A.dim
     if N > 8:
         raise ValueError("is_frobenius implemented for dim <= 8")
@@ -219,13 +218,7 @@ def _frobenius_form(A: FiniteAlgebra) -> tuple[bool, Vector | None]:
             row.append(CommPoly(N, spec, terms))
         entries.append(row)
     det = pool_minors(entries, [tuple(range(N))])[0]  # det of the transpose
-    if det.is_zero():
-        return False, None
-    for point in itertools.product(range(N + 1), repeat=N):
-        vals = [Scalar.of(p, spec) for p in point]
-        if not det.evaluate(vals).is_zero():
-            return True, vals
-    raise AssertionError("nonzero determinant with no grid witness")
+    return not det.is_zero()
 
 
 # -- invariants and classification ---------------------------------------------------
@@ -308,46 +301,39 @@ def _quotient_algebra(A: FiniteAlgebra, ideal: Rows) -> tuple["FiniteAlgebra", l
 def _split_idempotents(A: FiniteAlgebra) -> tuple[list[Vector], bool]:
     """Orthogonal idempotent decomposition of unity in a (semisimple) algebra
     through minimal polynomials of central elements; returns (idempotents,
-    fully_split over the field)."""
+    fully_split over the field).
+
+    One pass over a basis of the center: each piece e is cut along the
+    distinct roots of the minimal polynomial of t0 e on eAe.  When that
+    polynomial does not split over the field, e stays whole and split is
+    False.  When every polynomial splits, each piece after the pass is a joint
+    eigen-piece of every central basis element, so a second pass would find
+    at most one root on each piece and change nothing."""
     spec = A.spec
     idems = [A.unit]
     split = True
-    zb = center_basis(A)
-    changed = True
-    while changed:
-        changed = False
-        for t0 in zb:
-            new_idems: list[Vector] = []
-            for e in idems:
-                t = A.mul(e, t0)
-                # minimal polynomial of t acting on e*A*e (Krylov from e)
-                coeffs = krylov_min_poly(e, lambda u: A.mul(u, t), spec)
-                roots, f_split = univariate_roots(coeffs, spec)
-                if not f_split:
-                    split = False
-                if len(roots) <= 1:
-                    new_idems.append(e)
-                    continue
-                # split e along the distinct eigenvalues present
-                got = []
-                for r in roots:
-                    # e_r = prod_{s != r} (t - s e)/(r - s) applied to e
-                    er = e
-                    for s in roots:
-                        if (s - r).is_zero():
-                            continue
-                        factor_vec = [
-                            (a - s * b) for a, b in zip(t, e, strict=True)
-                        ]
-                        er = A.mul(er, [c * (r - s).inverse() for c in factor_vec])
-                    if any(not c.is_zero() for c in er):
-                        got.append(er)
-                if len(got) > 1:
-                    changed = True
-                    new_idems.extend(got)
-                else:
-                    new_idems.append(e)
-            idems = new_idems
+    for t0 in center_basis(A):
+        new_idems: list[Vector] = []
+        for e in idems:
+            t = A.mul(e, t0)
+            # minimal polynomial of t acting on e*A*e (Krylov from e)
+            coeffs = krylov_min_poly(e, lambda u: A.mul(u, t), spec)
+            roots, f_split = univariate_roots(coeffs, spec)
+            if not f_split:
+                split = False
+            if not f_split or len(roots) <= 1:
+                new_idems.append(e)
+                continue
+            # split e along the distinct eigenvalues: e_r = prod_{s != r} (t - s e)/(r - s)
+            for r in roots:
+                er = e
+                for s in roots:
+                    if (s - r).is_zero():
+                        continue
+                    factor_vec = [(a - s * b) for a, b in zip(t, e, strict=True)]
+                    er = A.mul(er, [c * (r - s).inverse() for c in factor_vec])
+                new_idems.append(er)
+        idems = new_idems
     return idems, split
 
 
@@ -428,8 +414,7 @@ def _blocks_consistent(label: str, inv: AlgebraInvariants):
 def classify(A: FiniteAlgebra) -> FrobeniusClass:
     if A.dim != 4:
         raise NotFourDimensional(f"dim {A.dim} != 4")
-    frob, _ = is_frobenius(A)
-    if not frob:
+    if not is_frobenius(A):
         raise NotFrobenius("no nondegenerate associative form exists")
     inv = invariants(A)
     dj, dj2, dj3 = inv.radical_dims

@@ -101,13 +101,6 @@ def homogenize_presentation(S: Presentation, F: RelationSequence, zname: str = "
     return Presentation(base.ambient, base.relations + Fz.elems, label)
 
 
-def tau_quotient(S: Presentation, F: RelationSequence) -> Presentation:
-    """T(S, F) = S/I_{F-top}."""
-    tops = wild_homogenize_seq(F)
-    label = f"T({S.label})" if S.label else ""
-    return Presentation(S.ambient, S.relations + tops.elems, label)
-
-
 @dataclass
 class StrongVerdict:
     top_sequence: SequenceVerdict
@@ -134,35 +127,6 @@ def is_strongly_regular_normal(S: GradedAlgebra, F: RelationSequence) -> StrongV
     zpoly = NcPoly.generator(Sz.ambient, Sz.ambient.n - 1)
     homog = is_regular_normal_sequence(Sz, Fz.elems + [zpoly])
     return StrongVerdict(vee, homog)
-
-
-def apply_st(
-    F: RelationSequence,
-    alpha: list[list[Scalar]] | None = None,
-    phi: list[list[Scalar]] | None = None,
-) -> RelationSequence:
-    """Graded substitution phi on each element, then linear recombination
-    f'_j = sum_i alpha[i][j] f_i."""
-    spec = F.ambient.spec
-    m = len(F.elems)
-    n = F.ambient.n
-    if phi is not None:
-        if rank(phi, spec) != n:
-            raise SingularMatrix("phi is singular")
-        elems = [f.map_linear(phi) for f in F.elems]
-    else:
-        elems = list(F.elems)
-    if alpha is not None:
-        if rank(alpha, spec) != m:
-            raise SingularMatrix("alpha is singular")
-        combined = []
-        for j in range(m):
-            acc = NcPoly.zero(F.ambient)
-            for i in range(m):
-                acc = acc + elems[i].scale(alpha[i][j])
-            combined.append(acc)
-        elems = combined
-    return RelationSequence(F.ambient, elems)
 
 
 def twist_presentation(S: Presentation, sigma: list[list[Scalar]]) -> Presentation:

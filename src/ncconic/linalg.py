@@ -28,17 +28,6 @@ def is_zero_vector(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
 
 
-def mat_vec(rows: Rows, v: Vector, spec: FieldSpec) -> Vector:
-    out = []
-    for row in rows:
-        s = zero(spec)
-        for a, b in zip(row, v, strict=True):
-            if not a.is_zero() and not b.is_zero():
-                s = s + a * b
-        out.append(s)
-    return out
-
-
 def _check_spec(rows: Rows, spec: FieldSpec):
     for row in rows:
         for x in row:

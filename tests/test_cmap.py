@@ -41,7 +41,7 @@ def test_compute_c_localize_fallback():
     res = compute_C(A, split=split)
     assert res.path.startswith("localize")
     assert classify(res.algebra).label == "M2"
-    assert is_frobenius(res.algebra)[0]
+    assert is_frobenius(res.algebra)
 
 
 def test_compute_c_k1_over_sqrt3():

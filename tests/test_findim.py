@@ -1,15 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncconic.findim import (
     FiniteAlgebra,
     NotFiniteDimensionalWithinBound,
+    _quotient_algebra,
+    _split_idempotents,
+    center_basis,
     classify,
     from_presentation,
     invariants,
     is_frobenius,
+    radical_basis,
 )
 from ncconic.freealg import Ambient, NcPoly
 from ncconic.linalg import rank
@@ -58,13 +65,12 @@ def test_from_presentation_infinite():
 
 def test_is_frobenius():
     K4 = model("x*y - y*x", "x^2 - 1", "y^2 - 1")
-    ok, witness = is_frobenius(K4)
-    assert ok and witness is not None
+    assert is_frobenius(K4) is True
     bad = model("x*y - y*x", "x^2", "x*y", "y^2")
     assert bad.dim == 3
-    assert is_frobenius(bad)[0] is False
+    assert is_frobenius(bad) is False
     M2 = model("x*y + y*x", "x^2 + 1", "y^2 + 1", amb=Ambient(("x", "y"), QI))
-    assert is_frobenius(M2)[0]
+    assert is_frobenius(M2) is True
 
 
 def test_invariants_examples():
@@ -108,7 +114,7 @@ def test_classify_reference_presentations():
         A = model(*texts, amb=amb)
         got = classify(A)
         assert got.label == label, f"{texts}: {got}"
-        assert is_frobenius(A)[0]
+        assert is_frobenius(A)
     # lambda pair bookkeeping
     for lam in (2, 3, Fraction(-1, 2)):
         amb = Ambient(("x", "y"), QQ)
@@ -250,3 +256,98 @@ def test_signature_unmatched_is_loud():
     x, y = NcPoly.generator(amb2, 0), NcPoly.generator(amb2, 1)
     with pytest.raises(Exception):
         classify(from_presentation([x * y - y * x, x * x, y * y, x * y]))  # dim 3
+
+
+# -- independent oracles for is_frobenius and _split_idempotents ------------------
+
+NON_FROBENIUS = [
+    ("x*y - y*x", "x^2", "x*y", "y^2"),  # k[x,y]/(x,y)^2, dim 3
+    ("x*y - y*x", "x^2", "x*y", "y^3"),  # dim 4, socle spanned by x and y^2
+    ("x*y", "y*x", "x^2", "y^3"),  # dim 4, socle spanned by x and y^2
+]
+
+
+@cache
+def _oracle_models() -> tuple[FiniteAlgebra, ...]:
+    refs = [model(*texts, amb=Ambient(("x", "y"), spec)) for _, texts, spec in REFERENCE]
+    bad = [model(*texts) for texts in NON_FROBENIUS]
+    assert [A.dim for A in bad] == [3, 4, 4]
+    return tuple(refs + bad)
+
+
+def _frobenius_on_simplex_grid(A: FiniteAlgebra) -> bool:
+    """Some phi at a point of {0..N}^N with coordinates summing to N has a Gram
+    matrix phi(e_a e_b) of full rank.  det is a form of degree N in phi, and
+    a nonzero form of degree N does not vanish on all of these points (they
+    are unisolvent for degree-N forms), so this decides Frobenius exactly."""
+    N, spec = A.dim, A.spec
+    for point in itertools.product(range(N + 1), repeat=N):
+        if sum(point) != N:
+            continue
+        phi = [Scalar.of(p, spec) for p in point]
+        gram = [
+            [sum((x * p for x, p in zip(A.table[a][b], phi)), zero(spec)) for b in range(N)]
+            for a in range(N)
+        ]
+        if rank(gram, spec) == N:
+            return True
+    return False
+
+
+@given(index=st.integers(0, len(REFERENCE) + len(NON_FROBENIUS) - 1), seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_is_frobenius_matches_gram_rank_oracle(index, seed):
+    A = _oracle_models()[index]
+    B = _random_basis_change(A, random.Random(seed))
+    want = index < len(REFERENCE)
+    assert _frobenius_on_simplex_grid(B) is want
+    assert is_frobenius(B) is want
+
+
+def _u_quotient(texts: str, spec: FieldSpec) -> FiniteAlgebra:
+    return model(texts, amb=Ambient(("u",), spec))
+
+
+@cache
+def _semisimple_models() -> tuple[FiniteAlgebra, ...]:
+    out = []
+    for _, texts, spec in REFERENCE:
+        A = model(*texts, amb=Ambient(("x", "y"), spec))
+        out.append(_quotient_algebra(A, radical_basis(A))[0])
+    # u^4 - 1 = (u - 1)(u + 1)(u^2 + 1) does not split over Q or Q(sqrt 2);
+    # over Q(i) it splits into four points
+    for spec in (QQ, FieldSpec(2), QI):
+        out.append(_u_quotient("u^4 - 1", spec))
+    return tuple(out)
+
+
+def _assert_idempotent_decomposition(A: FiniteAlgebra):
+    spec = A.spec
+    idems, split = _split_idempotents(A)
+    total = [zero(spec)] * A.dim
+    for i, e in enumerate(idems):
+        assert any(not c.is_zero() for c in e)
+        for j, f in enumerate(idems):
+            assert A.mul(e, f) == (e if i == j else [zero(spec)] * A.dim)
+        total = [a + b for a, b in zip(total, e)]
+    assert total == A.unit
+    if split:
+        for z in center_basis(A):
+            for e in idems:
+                assert rank([e, A.mul(z, e)], spec) == 1  # z e = lambda e
+    return idems, split
+
+
+@given(index=st.integers(0, len(REFERENCE) + 2), seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_split_idempotents_are_orthogonal_eigen_pieces(index, seed):
+    A = _semisimple_models()[index]
+    _assert_idempotent_decomposition(_random_basis_change(A, random.Random(seed)))
+
+
+def test_split_idempotents_u4_minus_1():
+    # over Q and Q(sqrt 2): the points u = 1 and u = -1, and the field Q(i) or
+    # Q(sqrt 2, i), which u^2 + 1 leaves unsplit
+    for spec, pieces, split in ((QQ, 3, False), (FieldSpec(2), 3, False), (QI, 4, True)):
+        idems, got = _assert_idempotent_decomposition(_u_quotient("u^4 - 1", spec))
+        assert (len(idems), got) == (pieces, split)

@@ -7,13 +7,10 @@ from ncconic.galgebra import Presentation, build
 from ncconic.homog import (
     NotStabilized,
     RelationSequence,
-    SingularMatrix,
-    apply_st,
     dehomogenize_algebra,
     dehomogenize_presentation,
     homogenize_presentation,
     is_strongly_regular_normal,
-    tau_quotient,
     twist_presentation,
     wild_homogenize_seq,
 )
@@ -26,6 +23,20 @@ AMB2 = Ambient(("x", "y"), QQ)
 U, V = NcPoly.generator(AMB2, 0), NcPoly.generator(AMB2, 1)
 ONE2 = NcPoly.one(AMB2)
 KXY = Presentation(AMB2, [U * V - V * U], "k[x,y]")
+
+
+def tau_quotient(S, F):
+    """T(S, F) = S/I_{F-top}."""
+    return Presentation(S.ambient, S.relations + wild_homogenize_seq(F).elems)
+
+
+def recombine(F, alpha):
+    """f'_j = sum_i alpha[i][j] f_i."""
+    elems = [
+        sum((f.scale(alpha[i][j]) for i, f in enumerate(F.elems)), NcPoly.zero(F.ambient))
+        for j in range(len(F.elems))
+    ]
+    return RelationSequence(F.ambient, elems)
 
 
 def test_homogenize_presentation_pencil():
@@ -89,23 +100,12 @@ def test_strongly_regular_examples():
     assert is_strongly_regular_normal(km1, central).strongly_regular_normal
 
 
-def test_apply_st():
-    F = RelationSequence(AMB2, [U * U, V * V])
-    same = apply_st(F)
-    assert same.elems == F.elems
-    alpha = [[Scalar.of(1, QQ), Scalar.of(1, QQ)], [Scalar.of(1, QQ), Scalar.of(-1, QQ)]]
-    out = apply_st(F, alpha=alpha)
-    assert out.elems == [U * U + V * V, U * U - V * V]
-    with pytest.raises(SingularMatrix):
-        apply_st(F, alpha=[[Scalar.of(1, QQ), Scalar.of(1, QQ)]] * 2)
-
-
 def test_recombination_commutes_with_homogenization():
     # for equal-degree sequences, linear recombination before or after
     # homogenizing gives the same relation span
     F = RelationSequence(AMB2, [U * U - ONE2, V * V - ONE2])
     alpha = [[Scalar.of(1, QQ), Scalar.of(2, QQ)], [Scalar.of(1, QQ), Scalar.of(-1, QQ)]]
-    F2 = apply_st(F, alpha=alpha)
+    F2 = recombine(F, alpha)
     H1 = homogenize_presentation(KXY, F)
     H2 = homogenize_presentation(KXY, F2)
     assert span_equal(

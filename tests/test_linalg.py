@@ -9,7 +9,6 @@ from ncconic.linalg import (
     is_zero_vector,
     kernel_basis,
     krylov_min_poly,
-    mat_vec,
     rank,
     rref,
     solve_linear,
@@ -17,6 +16,10 @@ from ncconic.linalg import (
     zero_vector,
 )
 from ncconic.scalars import QI, QQ, FieldSpec, Scalar, one, zero
+
+
+def mat_vec(rows, v, spec):
+    return [sum((a * b for a, b in zip(row, v, strict=True)), zero(spec)) for row in rows]
 
 
 def S(n):
