@@ -43,9 +43,9 @@ def main():
     print("Delta(A) basis:", d.algebra.labels, "-> class", classify(d.algebra))
 
     M = minors_ideal(k_matrix(rels))
-    pts, complete, _ = solve_projective(M)
-    print(f"point scheme: {len(pts)} points (complete over Q: {complete})")
-    for p in pts:
+    res = solve_projective(M)
+    print(f"point scheme: {len(res.solutions)} points (complete over Q: {res.complete})")
+    for p in res.solutions:
         q = sigma_at(rels, p)
         print("  sigma:", ":".join(str(c) for c in p), "->", ":".join(str(c) for c in q))
 

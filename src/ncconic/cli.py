@@ -204,11 +204,12 @@ def cmd_pointscheme(args, out) -> int:
     names = list(pf.ambient.names)
     for m in M:
         out.write("minor: " + m.format(names) + "\n")
-    pts, complete, residue = solve_projective(M)
-    out.write(f"points: {len(pts)} (complete over field: {'yes' if complete else 'no'})\n")
-    if residue:
-        out.write(f"residue: {residue}\n")
-    for p in pts:
+    res = solve_projective(M)
+    complete = "yes" if res.complete else "no"
+    out.write(f"points: {len(res.solutions)} (complete over field: {complete})\n")
+    if res.residue:
+        out.write(f"residue: {res.residue}\n")
+    for p in res.solutions:
         q = sigma_at(pf.relations, p)
         ps = ":".join(str(c) for c in p)
         qs = ":".join(str(c) for c in q) if q else "indeterminate"

@@ -44,9 +44,9 @@ class NotStronglyRegular(Exception):
     pass
 
 
-def dual_of(A: GradedAlgebra, D: int | None = None) -> GradedAlgebra:
+def dual_of(A: GradedAlgebra) -> GradedAlgebra:
     q = QuadraticPresentation(A.presentation)
-    return build(quadratic_dual(q).presentation, D or max(4, A.rs.truncation), A.rs.order)
+    return build(quadratic_dual(q).presentation, max(4, A.rs.truncation), A.rs.order)
 
 
 @dataclass

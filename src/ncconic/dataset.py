@@ -27,6 +27,7 @@ from .freealg import Ambient, NcPoly
 from .galgebra import Presentation, build
 from .geometry import (
     CommPoly,
+    SolveResult,
     k_matrix,
     minors_ideal,
     normalize_point,
@@ -327,15 +328,18 @@ def verify_conic_row(row: TableRow) -> list[CheckResult]:
         except Exception as e:
             results.append(_res(row, "rehomogenize_dual_span", False, f"{type(e).__name__}: {e}"))
 
-    pts_want = row.expect1("points")
-    if pts_want is not None:
-        M = minors_ideal(k_matrix(row.relations))
-        pts, complete, residue = solve_projective(M)
-        ok = complete and len(pts) == int(pts_want)
-        results.append(
-            _res(row, "point_count", ok, f"{len(pts)} points, complete={complete} {residue or ''}")
-        )
+    if row.expect1("points") is not None:
+        results.append(_point_count(row, minors_ideal(k_matrix(row.relations)))[1])
     return results
+
+
+def _point_count(row: TableRow, M: list[CommPoly]) -> tuple[SolveResult, CheckResult]:
+    """The projective zeros of the minors M, and the check of their number."""
+    res = solve_projective(M)
+    n = len(res.solutions)
+    ok = res.complete and n == int(row.expect1("points"))
+    detail = f"{n} points, complete={res.complete} {res.residue or ''}"
+    return res, _res(row, "point_count", ok, detail)
 
 
 def rehomogenization_span_identity(search: Degree1Search) -> bool:
@@ -454,8 +458,7 @@ def verify_geometry_row(row: TableRow) -> list[CheckResult]:
     results: list[CheckResult] = []
     amb = row.ambient
     spec = row.spec
-    K = k_matrix(row.relations)
-    M = minors_ideal(K)
+    M = minors_ideal(k_matrix(row.relations))
     comps = row.expect("component")
     if comps:
         # positive-dimensional rows: minors vanish on each claimed component
@@ -495,12 +498,9 @@ def verify_geometry_row(row: TableRow) -> list[CheckResult]:
             results.append(_res(row, f"sigma_{want_sigma}", ok_sigma, detail))
         return results
 
-    pts, complete, residue = solve_projective(M)
-    want_n = int(row.expect1("points"))
-    results.append(
-        _res(row, "point_count", complete and len(pts) == want_n,
-             f"{len(pts)} points, complete={complete} {residue or ''}")
-    )
+    res, check = _point_count(row, M)
+    results.append(check)
+    pts = res.solutions
     for p in pts:
         bad = [m for m in M if not m.evaluate(list(p)).is_zero()]
         if bad:

@@ -19,15 +19,7 @@ from dataclasses import dataclass, field
 
 from .freealg import NcPoly
 from .galgebra import GradedAlgebra, hilbert_drop
-from .geometry import (
-    CommPoly,
-    SolveResult,
-    chart_point,
-    chart_sub,
-    eliminate_small,
-    pool_minors,
-    reduce_poly,
-)
+from .geometry import CommPoly, SolveResult, pool_minors, projective_charts, reduce_poly
 from .linalg import complete_to_basis, kernel_basis, rank, rref, solve_linear
 from .quadratic import quad1_vector
 from .rewrite import DegreeExceedsTruncation
@@ -64,8 +56,8 @@ def center_degree(A: GradedAlgebra, d: int) -> list[NcPoly]:
             diff = A.coords(xi * wp - wp * xi, d + 1)
             col.extend(diff)
         rows.append(col)
-    ker = kernel_basis(list(map(list, zip(*rows))), len(basis_d), spec) if rows else []
-    red, _ = rref(ker, spec) if ker else ([], [])
+    ker = kernel_basis(list(map(list, zip(*rows))), len(basis_d), spec)
+    red, _ = rref(ker, spec)
     return [A.from_coords(v, d) for v in red]
 
 
@@ -277,47 +269,37 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
     det_right = mult_det(gens3)  # b2 -> b2 * w
     det_left = mult_det(gens3l)  # b2 -> w * b2
 
-    z = zero(spec)
     candidates: list[tuple[Scalar, ...]] = []
     complete = True
     regular_settled = True
     residue = None
-
-    for chart in range(n):
-        charted = [chart_sub(p, chart) for p in eqs]
-        nonzero = [q for q in charted if not q.is_zero()]
-        rest = list(range(chart + 1, n))
-        if not rest:
-            if not nonzero or all(q.evaluate([z] * 3).is_zero() for q in nonzero):
-                candidates.append(chart_point((z,) * n, chart))
-            continue
-        res = eliminate_small(nonzero, max_deg=4) if nonzero else SolveResult(
-            [], False, "no equations", [({}, [])]
-        )
-        chart_incomplete = not res.complete
+    for chart, (origin, res) in enumerate(projective_charts(eqs, n, spec)):
+        if res is None:
+            # no equations: the origin is a candidate and the whole chart a
+            # residual branch
+            fixed = dict(enumerate(origin[: chart + 1]))
+            res = SolveResult([origin], False, "no equations", [(fixed, [])])
         if res.residue and residue is None:
             residue = f"chart {chart}: {res.residue}"
-        candidates.extend(chart_point(s, chart) for s in res.solutions)
-        if chart_incomplete:
-            complete = False
-            if not nonzero:
-                candidates.append(chart_point((z,) * n, chart))
-            if not res.residual_ideals:
-                # incompleteness from an unsplit eliminant: points outside the
-                # field could still be regular
+        candidates.extend(res.solutions)
+        if res.complete:
+            continue
+        complete = False
+        if not res.residual_ideals:
+            # incompleteness from an unsplit eliminant: points outside the
+            # field could still be regular
+            regular_settled = False
+        # can the leftover branches carry a regular element at all?
+        for subs, rgb in res.residual_ideals:
+            dr, dl = det_right, det_left
+            for i, val in subs.items():
+                dr = dr.substitute_value(i, val)
+                dl = dl.substitute_value(i, val)
+            if rgb:
+                dr = reduce_poly(dr, rgb)
+                dl = reduce_poly(dl, rgb)
+            if not (dr.is_zero() or dl.is_zero()):
                 regular_settled = False
-            # can the leftover branches carry a regular element at all?
-            for subs, rgb in res.residual_ideals:
-                dr = chart_sub(det_right, chart)
-                dl = chart_sub(det_left, chart)
-                for i, val in subs.items():
-                    dr = dr.substitute_value(i, val)
-                    dl = dl.substitute_value(i, val)
-                if rgb:
-                    dr = reduce_poly(dr, rgb)
-                    dl = reduce_poly(dl, rgb)
-                if not (dr.is_zero() or dl.is_zero()):
-                    regular_settled = False
 
     certs = []
     for a in candidates:

@@ -237,7 +237,7 @@ class AlgebraInvariants:
 
 def _product_span(A: FiniteAlgebra, left: Rows, right: Rows) -> Rows:
     prods = [A.mul(u, v) for u in left for v in right]
-    red, _ = rref(prods, A.spec) if prods else ([], [])
+    red, _ = rref(prods, A.spec)
     return red
 
 
@@ -257,7 +257,7 @@ def radical_basis(A: FiniteAlgebra) -> Rows:
             row.append(sum((prod[b] * trL[b] for b in range(N)), zero(spec)))
         sys_rows.append(row)
     ker = kernel_basis(sys_rows, N, spec)
-    red, _ = rref(ker, spec) if ker else ([], [])
+    red, _ = rref(ker, spec)
     return red
 
 
@@ -275,7 +275,7 @@ def center_basis(A: FiniteAlgebra) -> Rows:
             col.extend(diff)
         rows.append(col)
     ker = kernel_basis(list(map(list, zip(*rows))), N, spec)
-    red, _ = rref(ker, spec) if ker else ([], [])
+    red, _ = rref(ker, spec)
     return red
 
 
@@ -283,7 +283,7 @@ def _quotient_algebra(A: FiniteAlgebra, ideal: Rows) -> tuple["FiniteAlgebra", l
     """A/ideal with a section; returns (quotient, lifts of the quotient basis)."""
     spec = A.spec
     N = A.dim
-    red, pivots = rref(ideal, spec) if ideal else ([], [])
+    red, pivots = rref(ideal, spec)
     pivot_set = set(pivots)
     free = [c for c in range(N) if c not in pivot_set]
 

@@ -86,9 +86,8 @@ class NcPoly:
         return NcPoly(ambient, {(i,): one(ambient.spec)})
 
     @staticmethod
-    def monomial(ambient: Ambient, w: Word, c: Scalar | int = 1) -> "NcPoly":
-        cc = c if isinstance(c, Scalar) else Scalar.of(c, ambient.spec)
-        return NcPoly(ambient, {tuple(w): cc})
+    def monomial(ambient: Ambient, w: Word) -> "NcPoly":
+        return NcPoly(ambient, {tuple(w): one(ambient.spec)})
 
     @staticmethod
     def scalar(ambient: Ambient, c) -> "NcPoly":

@@ -40,8 +40,8 @@ class Presentation:
                 cleaned.append(r)
         self.relations = cleaned
 
-    def with_extra(self, extra: list[NcPoly], label: str | None = None) -> "Presentation":
-        return Presentation(self.ambient, self.relations + list(extra), label or self.label)
+    def with_extra(self, extra: list[NcPoly]) -> "Presentation":
+        return Presentation(self.ambient, self.relations + list(extra), self.label)
 
 
 @dataclass

@@ -7,13 +7,19 @@ kernel of the linearized relations.
 
 eliminate_small is the shared mini-solver (<= 3 variables, small degrees):
 bounded Buchberger in graded lex, then univariate minimal polynomials in the
-quotient and exact back-substitution.  Roots are taken over the instance
-field only; anything that fails to split is reported as a residue, never
-guessed.  On a positive-dimensional ideal the branching variable may be
-transcendental; when the gcd of the basis involves another variable, every
-element of the ideal shares a factor that no univariate polynomial has, so
-the elimination ideal in that variable is zero (Cox-Little-O'Shea, Ideals,
-Varieties, and Algorithms, ch. 3) and no Krylov powers are reduced.
+quotient and exact back-substitution, branching on the last variable that
+leads a basis element by a pure power (zero-dimensional when all do).  Roots
+are taken over the instance field only; anything that fails to split is
+reported as a residue, never guessed.  On a positive-dimensional ideal the
+branching variable may be transcendental; when the gcd of the basis involves
+another variable, every element of the ideal shares a factor that no
+univariate polynomial has, so the elimination ideal in that variable is zero
+(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3) and no Krylov
+powers are reduced.
+
+projective_charts is the one chart loop, shared by solve_projective (the
+point scheme, folded into one SolveResult) and the degree-1 normal-element
+search in elements (read chart by chart).
 
 This is the one module that talks to sympy.  to_domain and from_domain map
 a Scalar to and from an element of sympy's domain for its field (QQ or
@@ -223,22 +229,6 @@ def pool_minors(cols: list[list[CommPoly]], combos: list[tuple[int, ...]]) -> li
     return [minor(0, tuple(combo)) for combo in combos]
 
 
-def chart_sub(p: CommPoly, chart: int) -> CommPoly:
-    """p on the affine chart v_chart = 1, v_i = 0 for i < chart."""
-    z = zero(p.spec)
-    for i in range(chart):
-        p = p.substitute_value(i, z)
-    return p.substitute_value(chart, one(p.spec))
-
-
-def chart_point(sol: tuple[Scalar, ...], chart: int) -> tuple[Scalar, ...]:
-    """The projective point of a solution on the affine chart of chart_sub."""
-    spec = sol[chart].spec
-    return tuple(
-        zero(spec) if i < chart else one(spec) if i == chart else c for i, c in enumerate(sol)
-    )
-
-
 def _divides(m: Monomial, n: Monomial) -> bool:
     return all(a <= b for a, b in zip(m, n))
 
@@ -279,9 +269,11 @@ def reduce_poly(f: CommPoly, basis: list[CommPoly]) -> CommPoly:
     return CommPoly(f.nvars, f.spec, out)
 
 
-def buchberger(polys: list[CommPoly], deg_bound: int = 24) -> list[CommPoly]:
-    """Graded-lex Groebner basis, discarding S-pairs whose lcm degree exceeds
-    the bound (our zero-dimensional desk systems never get near it)."""
+_SPAIR_DEGREE_BOUND = 24  # S-pairs of higher lcm degree are dropped; no table system gets near it
+
+
+def buchberger(polys: list[CommPoly]) -> list[CommPoly]:
+    """Graded-lex Groebner basis, up to the S-pair degree bound."""
     basis = [p.monic() for p in polys if not p.is_zero()]
     if not basis:
         return []
@@ -294,7 +286,7 @@ def buchberger(polys: list[CommPoly], deg_bound: int = 24) -> list[CommPoly]:
     while pairs:
         pairs.sort(key=lambda p: p[0])  # stable: ties keep their creation order
         (deg, lcm), i, j = pairs.pop(0)
-        if deg > deg_bound:
+        if deg > _SPAIR_DEGREE_BOUND:
             continue
         li, lj = leads[i], leads[j]
         if all(a + b == c for a, b, c in zip(li, lj, lcm)):
@@ -423,42 +415,7 @@ class SolveResult:
     complete: bool
     residue: str | None = None
     # non-enumerated branches: (accumulated substitutions, Groebner basis)
-    residual_ideals: list[tuple[dict[int, Scalar], list["CommPoly"]]] = field(
-        default_factory=list
-    )
-
-
-def _normal_monomials(gb: list[CommPoly], nvars: int, active: list[int]) -> list[Monomial] | None:
-    """Monomials in the active variables outside the leading-term ideal;
-    None when infinite."""
-    leads = [g.leading()[0] for g in gb]
-    for i in active:
-        if not any(all(e == 0 for k, e in enumerate(lm) if k != i) and lm[i] > 0 for lm in leads):
-            return None  # no pure power of variable i leads: not zero-dimensional
-    caps = []
-    for i in range(nvars):
-        if i not in active:
-            caps.append(0)
-            continue
-        pure = min(
-            lm[i]
-            for lm in leads
-            if lm[i] > 0 and all(e == 0 for k, e in enumerate(lm) if k != i)
-        )
-        caps.append(pure)
-    monos: list[Monomial] = []
-
-    def rec(prefix: list[int], i: int):
-        if i == nvars:
-            m = tuple(prefix)
-            if not any(_divides(lm, m) for lm in leads):
-                monos.append(m)
-            return
-        for e in range(caps[i] + 1 if i in active else 1):
-            rec(prefix + [e], i + 1)
-
-    rec([], 0)
-    return sorted(monos, key=_grlex_key)
+    residual_ideals: list[tuple[dict[int, Scalar], list[CommPoly]]] = field(default_factory=list)
 
 
 def _coordinate_min_poly(gb: list[CommPoly], var: int, nvars: int, spec: FieldSpec) -> list[Scalar] | None:
@@ -492,7 +449,10 @@ def _common_factor_variables(gb: list[CommPoly]) -> set[int]:
     return {i for i, e in enumerate(common.degree_list()) if e > 0}
 
 
-def eliminate_small(system: list[CommPoly], max_deg: int = 4) -> SolveResult:
+_MAX_DEGREE = 4  # the largest equation degree eliminate_small accepts
+
+
+def eliminate_small(system: list[CommPoly]) -> SolveResult:
     """Solve a small polynomial system over its field; see module docstring."""
     polys = [p for p in system if not p.is_zero()]
     if not polys:
@@ -504,61 +464,47 @@ def eliminate_small(system: list[CommPoly], max_deg: int = 4) -> SolveResult:
         raise BoundExceeded("more than 3 variables")
     if len(polys) > 20:
         raise BoundExceeded("more than 20 equations")
-    if any(p.degree() > max_deg for p in polys):
-        raise BoundExceeded(f"degree above {max_deg}")
-    return _solve(polys, nvars, spec, active)
+    if any(p.degree() > _MAX_DEGREE for p in polys):
+        raise BoundExceeded(f"degree above {_MAX_DEGREE}")
+    return _solve(polys, nvars, spec)
 
 
-def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec, active: list[int]) -> SolveResult:
-    consts = [p for p in polys if not p.variables()]
-    if any(not p.is_zero() for p in consts):
-        return SolveResult([], True)
-    polys = [p for p in polys if p.variables()]
+def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec) -> SolveResult:
+    if any(p and not p.variables() for p in polys):
+        return SolveResult([], True)  # a nonzero constant
+    polys = [p for p in polys if p]
     if not polys:
         # every equation vanished identically: solutions unconstrained
-        if not active:
-            return SolveResult([tuple()], True)
         return SolveResult([], False, "positive-dimensional: unconstrained variables", [({}, [])])
     active = sorted(set().union(*(p.variables() for p in polys)))
     gb = buchberger(polys)
     if any(len(g.terms) == 1 and sum(g.leading()[0]) == 0 for g in gb):
         return SolveResult([], True)
-    monos = _normal_monomials(gb, nvars, active)
-    positive_dimensional = monos is None
+    # the variables some leading monomial is a pure power of: the ideal is
+    # zero-dimensional when every active variable is one of them
+    pure = set()
+    for g in gb:
+        lm = g.leading()[0]
+        pure.update(i for i, e in enumerate(lm) if 0 < e == sum(lm))
+    var = max(pure, default=None)
+    positive_dimensional = len(pure) < len(active)
+    mp = None
+    # on a positive-dimensional ideal, a factor of the whole ideal in another
+    # variable leaves no univariate p(var) in it (every factor of p lies in
+    # k[var]), so Krylov would find no dependence at any cap
+    if var is not None and not (positive_dimensional and _common_factor_variables(gb) - {var}):
+        mp = _coordinate_min_poly(gb, var, nvars, spec)
+    if mp is None:
+        if not positive_dimensional:
+            raise BoundExceeded(f"no minimal polynomial of v{var} within 40 powers")
+        gbs = "; ".join(repr(g) for g in gb)
+        return SolveResult(
+            [], False, f"positive-dimensional component, GB leads: {gbs}", [({}, gb)]
+        )
     residue = None
     if positive_dimensional:
-        # branch on some variable that is still algebraic in the quotient;
-        # the rest stays as a residual ideal
-        leads = [g.leading()[0] for g in gb]
-        algebraic = [
-            i
-            for i in active
-            if any(lm[i] > 0 and all(e == 0 for k, e in enumerate(lm) if k != i) for lm in leads)
-        ]
-        if not algebraic:
-            gbs = "; ".join(repr(g) for g in gb)
-            return SolveResult(
-                [], False, f"positive-dimensional component, GB leads: {gbs}", [({}, gb)]
-            )
-        var = algebraic[-1]
-        # a factor of the whole ideal in another variable leaves no univariate
-        # p(var) in it (every factor of p lies in k[var]), so Krylov would find
-        # no dependence at any cap
-        if _common_factor_variables(gb) - {var}:
-            mp = None
-        else:
-            mp = _coordinate_min_poly(gb, var, nvars, spec)
-        if mp is None:
-            gbs = "; ".join(repr(g) for g in gb)
-            return SolveResult(
-                [], False, f"positive-dimensional component, GB leads: {gbs}", [({}, gb)]
-            )
+        # the branches on var leave the rest as residual ideals
         residue = "positive-dimensional component alongside isolated points"
-    else:
-        var = active[-1]
-        mp = _coordinate_min_poly(gb, var, nvars, spec)
-        if mp is None:
-            raise BoundExceeded(f"no minimal polynomial of v{var} within 40 powers")
     roots, split = univariate_roots(mp, spec)
     if not split and residue is None:
         K = _domain(spec)[0]
@@ -576,7 +522,7 @@ def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec, active: list[int]
                 sol[var] = r
                 solutions.append(tuple(sol))
             continue
-        sub_result = _solve([p for p in sub if not p.is_zero()] or sub, nvars, spec, rest_active)
+        sub_result = _solve(sub, nvars, spec)
         complete = complete and sub_result.complete
         if sub_result.residue and residue is None:
             residue = sub_result.residue
@@ -654,31 +600,50 @@ def sigma_at(relations: list[NcPoly], p: tuple[Scalar, ...]) -> tuple[Scalar, ..
     return normalize_point(tuple(ker[0]))
 
 
-def solve_projective(polys: list[CommPoly]) -> tuple[list[tuple[Scalar, ...]], bool, str | None]:
+def projective_charts(
+    polys: list[CommPoly], nvars: int, spec: FieldSpec
+) -> list[tuple[tuple[Scalar, ...], SolveResult | None]]:
+    """The zeros of homogeneous polys chart by chart: one (origin, result)
+    pair per affine chart v_k = 1, v_i = 0 for i < k, whose origin is the
+    unit vector e_k.  The result is None when every equation vanishes on the
+    chart.  Its solutions are projective points (first nonzero coordinate 1),
+    and each residual substitution includes the chart's fixed coordinates.
+    The last chart is the single point e_k, a solution when every equation
+    vanishes there."""
+    charts = []
+    for k in range(nvars):
+        origin = tuple(one(spec) if i == k else zero(spec) for i in range(nvars))
+        fixed = dict(enumerate(origin[: k + 1]))
+        charted = []
+        for p in polys:
+            for i, c in fixed.items():
+                p = p.substitute_value(i, c)
+            if p:
+                charted.append(p)
+        if k == nvars - 1:
+            res = SolveResult([] if charted else [origin], True)
+        elif not charted:
+            res = None
+        else:
+            res = eliminate_small(charted)
+            res.solutions = [origin[: k + 1] + s[k + 1 :] for s in res.solutions]
+            res.residual_ideals = [({**fixed, **subs}, gb) for subs, gb in res.residual_ideals]
+        charts.append((origin, res))
+    return charts
+
+
+def solve_projective(polys: list[CommPoly]) -> SolveResult:
     """All projective zeros (first nonzero coordinate 1) of homogeneous polys
-    in 3 variables over the field; (points, complete, residue)."""
+    over the field, the charts of projective_charts folded into one result."""
     if not polys:
         raise ValueError("no equations")
-    nvars = polys[0].nvars
-    spec = polys[0].spec
-    z = zero(spec)
-    points: list[tuple[Scalar, ...]] = []
-    complete = True
-    residue = None
-    for chart in range(nvars):
-        charted = [chart_sub(p, chart) for p in polys]
-        rest = [i for i in range(chart + 1, nvars)]
-        if not rest:
-            if all(q.evaluate([z] * nvars).is_zero() for q in charted if not q.is_zero()):
-                points.append(chart_point((z,) * nvars, chart))
-            continue
-        if all(q.is_zero() for q in charted):
-            complete = False
-            residue = residue or f"chart {chart}: equations vanish identically (positive-dimensional)"
-            continue
-        res = _solve([q for q in charted if not q.is_zero()], nvars, spec, rest)
-        complete = complete and res.complete
-        if res.residue and residue is None:
-            residue = res.residue
-        points.extend(chart_point(s, chart) for s in res.solutions)
-    return points, complete, residue
+    out = SolveResult([], True)
+    for k, (origin, res) in enumerate(projective_charts(polys, polys[0].nvars, polys[0].spec)):
+        if res is None:
+            residue = f"chart {k}: equations vanish identically (positive-dimensional)"
+            res = SolveResult([], False, residue, [(dict(enumerate(origin[: k + 1])), [])])
+        out.solutions += res.solutions
+        out.complete = out.complete and res.complete
+        out.residue = out.residue or res.residue
+        out.residual_ideals += res.residual_ideals
+    return out

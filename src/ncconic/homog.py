@@ -148,7 +148,7 @@ def twist_presentation(S: Presentation, sigma: list[list[Scalar]]) -> Presentati
     return Presentation(amb, out, f"{S.label}^twist" if S.label else "")
 
 
-def localized_zero_part(A: GradedAlgebra, cert, i0: int, labels_prefix: str = "b"):
+def localized_zero_part(A: GradedAlgebra, cert, i0: int):
     """The algebra {f w^{-i0} : f in A_{d*i0}} with multiplication
     (f w^{-i0})(g w^{-i0}) = f nu^{i0}(g) w^{-2 i0}, re-expressed through the
     bijection m -> m w^{i0}; unit is the class of w^{i0}."""

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from ncconic import geometry
+from ncconic import dataset, geometry
 from ncconic.freealg import Ambient
 from ncconic.geometry import (
     BoundExceeded,
@@ -226,8 +226,8 @@ def test_point_scheme_counts_table4():
     def count(relations, spec=QQ):
         amb = Ambient(("x", "y", "z"), spec)
         rl = [parse_poly(str(r), amb) for r in relations]
-        pts, complete, _ = solve_projective(minors_ideal(k_matrix(rl)))
-        return len(pts), complete, rl, pts
+        res = solve_projective(minors_ideal(k_matrix(rl)))
+        return len(res.solutions), res.complete, rl, res.solutions
 
     n1, c1, _, _ = count(N_RELS + rels("x^2"))
     assert (n1, c1) == (1, True)
@@ -251,11 +251,39 @@ def test_points_annihilate_minors():
         for t in ["y*z + z*y + x^2", "z*x + x*z + y^2", "x*y + y*x", "x^2 + y^2 - 4 z^2"]
     ]
     M = minors_ideal(k_matrix(rl))
-    pts, complete, _ = solve_projective(M)
-    assert complete and len(pts) == 4
-    for p in pts:
+    res = solve_projective(M)
+    assert res.complete and len(res.solutions) == 4
+    for p in res.solutions:
         assert all(m.evaluate(list(p)).is_zero() for m in M)
         assert p == normalize_point(p)
+
+
+def _component_rows():
+    return [r for r in dataset.load_rows() if r.table == "4" and r.expect("component")]
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [r.relations for r in _component_rows()] + [rels("x^2", "x*y", "x*z", "x^2 + x*y")],
+    ids=[r.label for r in _component_rows()] + ["all-minors-zero"],
+)
+def test_residual_ideals_fix_their_chart(relations):
+    # every branch left unenumerated names its chart: v_i = 0 for i < k and
+    # v_k = 1; after its substitutions each minor lies in its residual ideal
+    M = minors_ideal(k_matrix(relations))
+    spec = M[0].spec
+    res = solve_projective(M)
+    assert not res.complete and res.residual_ideals
+    for subs, gb in res.residual_ideals:
+        assert any(
+            all(subs.get(i) == (one(spec) if i == k else zero(spec)) for i in range(k + 1))
+            for k in range(3)
+        ), subs
+        for m in M:
+            for i, c in subs.items():
+                m = m.substitute_value(i, c)
+            assert reduce_poly(m, gb).is_zero()
+
 
 
 def _commpoly(spec, terms):
