@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from functools import reduce
 
@@ -359,3 +360,109 @@ def test_common_factor_certificate_matches_lex_elimination(data, spec):
         order = [g for i, g in enumerate(gens) if i != var] + [gens[var]]
         lex = sympy.groebner(exprs, *order, order="lex", extension=True)
         assert not any(e.free_symbols <= {gens[var]} for e in lex.exprs)
+
+
+# -- Buchberger against a reference and against sympy ----------------------------
+
+
+def _reference_buchberger(polys):
+    """The pair loop before the Gebauer-Moeller criteria: every pair of basis
+    elements is formed, only coprime leads are skipped, and the basis is
+    inter-reduced until nothing changes."""
+    from ncconic.geometry import _SPAIR_DEGREE_BOUND, _grlex_key, _mono_lcm, _mono_sub
+
+    basis = [p.monic() for p in polys if not p.is_zero()]
+    if not basis:
+        return []
+    leads = [g.leading()[0] for g in basis]
+
+    def pair(i, j):
+        return _grlex_key(_mono_lcm(leads[i], leads[j])), i, j
+
+    pairs = [pair(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        pairs.sort(key=lambda p: p[0])
+        (deg, lcm), i, j = pairs.pop(0)
+        if deg > _SPAIR_DEGREE_BOUND:
+            continue
+        li, lj = leads[i], leads[j]
+        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
+            continue
+        spec = basis[i].spec
+        mi = CommPoly(basis[i].nvars, spec, {_mono_sub(lcm, li): one(spec)})
+        mj = CommPoly(basis[j].nvars, spec, {_mono_sub(lcm, lj): one(spec)})
+        r = reduce_poly(mi * basis[i] - mj * basis[j], basis)
+        if not r.is_zero():
+            basis.append(r.monic())
+            leads.append(basis[-1].leading()[0])
+            pairs.extend(pair(len(basis) - 1, k) for k in range(len(basis) - 1))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1 :]
+            r = reduce_poly(basis[i], others)
+            if r != basis[i]:
+                changed = True
+                basis = others if r.is_zero() else others + [r.monic()]
+                break
+    return sorted(basis, key=lambda p: _grlex_key(p.leading()[0]))
+
+
+def _planted_system(draw, spec):
+    """Up to 3 polynomials of degree <= 3 in 1 to 3 variables, each vanishing
+    at 1 or 2 drawn points of spec^n; returns (nvars, polys, points)."""
+    nvars = draw(st.integers(1, 3))
+    b = st.just(0) if spec.is_rational else st.integers(-1, 1)
+    scalar = st.tuples(st.integers(-2, 2), b).map(
+        lambda ab: Scalar(Fraction(ab[0]), Fraction(ab[1]), spec)
+    )
+    points = draw(st.lists(st.tuples(*[scalar] * nvars), min_size=1, max_size=2, unique=True))
+    monos = [m for m in itertools.product(range(4), repeat=nvars) if sum(m) <= 3]
+    coeff = scalar.filter(lambda c: not c.is_zero())
+    terms = st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=4)
+
+    def linear(i, c):
+        # v_i - c
+        return CommPoly.var(nvars, i, spec) - CommPoly.const(nvars, c)
+
+    polys = []
+    for g in draw(st.lists(terms.map(lambda t: CommPoly(nvars, spec, t)), min_size=1, max_size=3)):
+        if len(points) == 1:
+            f = g - CommPoly.const(nvars, g.evaluate(list(points[0])))
+        else:
+            # Lagrange in a coordinate where the two points differ
+            (r, s), i = points, next(i for i in range(nvars) if points[0][i] != points[1][i])
+            d = r[i] - s[i]
+            f = g - linear(i, s[i]).scale(g.evaluate(list(r)) / d) + linear(i, r[i]).scale(
+                g.evaluate(list(s)) / d
+            )
+        polys.append(f)
+    return nvars, polys, points
+
+
+@pytest.mark.parametrize("spec", [QQ, QI, FieldSpec(2)], ids=["Q", "Q(i)", "Q(sqrt 2)"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_buchberger_matches_reference_and_sympy(spec, data):
+    nvars, polys, points = _planted_system(data.draw, spec)
+    gb = buchberger(polys)
+    assert gb == _reference_buchberger(polys)
+    # sympy's reduced basis over the same field: monic, so equal term by term
+    K = geometry._domain(spec)[0]
+    gens = sympy.symbols(f"v0:{nvars}")
+    inputs = [
+        sympy.Poly.from_dict({m: geometry.to_domain(c) for m, c in p.terms.items()}, *gens, domain=K)
+        for p in polys
+        if p
+    ]
+    if inputs:
+        want = sympy.groebner(inputs, *gens, order="grlex", domain=K)
+        got = [{m: geometry.to_domain(c) for m, c in g.terms.items()} for g in gb]
+        assert sorted(got, key=lambda t: sorted(t)) == sorted(
+            (dict(p.rep.to_dict()) for p in want.polys), key=lambda t: sorted(t)
+        )
+    else:
+        assert gb == []
+    for pt in points:
+        assert all(g.evaluate(list(pt)).is_zero() for g in gb)
