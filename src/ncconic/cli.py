@@ -10,6 +10,7 @@ lines carry sequence entries or designated elements.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -199,6 +200,10 @@ def cmd_delta(args, out) -> int:
 
 def cmd_pointscheme(args, out) -> int:
     pf = _load(args.file)
+    if pf.ambient.n != 3:
+        raise UsageError(f"pointscheme needs exactly 3 generators (got {pf.ambient.n})")
+    if len(pf.relations) < 3:
+        raise UsageError(f"pointscheme needs at least 3 relations (got {len(pf.relations)})")
     K = k_matrix(pf.relations)
     M = minors_ideal(K)
     names = list(pf.ambient.names)
@@ -222,6 +227,7 @@ def cmd_verify(args, out) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ncconic", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -230,9 +236,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         if file_arg:
             sp.add_argument("file")
-        # a string default goes through type= as well, which checks the environment
-        default = os.environ.get("NCCONIC_MAX_DEG") or "6"
-        sp.add_argument("--max-deg", type=_truncation, default=default)
+        # None: main reads NCCONIC_MAX_DEG on every call
+        sp.add_argument("--max-deg", type=_truncation, default=None)
         for k, v in extra.items():
             sp.add_argument(k, **v)
         sp.set_defaults(fn=fn)
@@ -259,15 +264,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     try:
+        if "max_deg" in args and args.max_deg is None:
+            args.max_deg = _truncation(os.environ.get("NCCONIC_MAX_DEG") or "6")
         return args.fn(args, out)
     except PresSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)

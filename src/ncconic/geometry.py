@@ -17,6 +17,11 @@ univariate polynomial has, so the elimination ideal in that variable is zero
 (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3) and no Krylov
 powers are reduced.
 
+buchberger prunes its S-pairs with the Gebauer-Moeller criteria (coprime
+leads, the chain criterion on new and old pairs) and retires elements whose
+leading monomial a newer one divides; the reduced basis then comes from one
+pass: drop the non-minimal elements, reduce each tail once.
+
 projective_charts is the one chart loop, shared by solve_projective (the
 point scheme, folded into one SolveResult) and the degree-1 normal-element
 search in elements (read chart by chart).
@@ -30,6 +35,7 @@ certificate and the printed residues all cross there.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -273,48 +279,82 @@ _SPAIR_DEGREE_BOUND = 24  # S-pairs of higher lcm degree are dropped; no table s
 
 
 def buchberger(polys: list[CommPoly]) -> list[CommPoly]:
-    """Graded-lex Groebner basis, up to the S-pair degree bound."""
-    basis = [p.monic() for p in polys if not p.is_zero()]
-    if not basis:
-        return []
-    leads = [g.leading()[0] for g in basis]
+    """Reduced graded-lex Groebner basis, up to the S-pair degree bound,
+    sorted by leading monomial.
 
-    def pair(i: int, j: int):
-        return _grlex_key(_mono_lcm(leads[i], leads[j])), i, j
+    The inputs join the basis one by one, smallest leading monomial first,
+    and so does every nonzero S-polynomial remainder.  Each time an element
+    h joins, the Gebauer-Moeller criteria prune the pairs (Becker and
+    Weispfenning, Groebner Bases, UPDATE, p. 230):
+    - a new pair (h, g) is dropped when the lcm of another new pair, not
+      itself dropped, divides lcm(h, g) (of two equal lcms the earlier g
+      stays); a pair whose leads are coprime is never reduced, but counts
+      for the others;
+    - an old pair (g1, g2) is dropped when lm(h) divides its lcm, unless
+      lcm(g1, h) or lcm(g2, h) equals it;
+    - every g whose leading monomial lm(h) divides is retired: it keeps its
+      pairs but reduces no more S-polynomials.
+    The pair with the smallest lcm goes first, ties in creation order.  At
+    the end, elements whose leading monomial another's divides are dropped,
+    and each tail is reduced once against the others."""
+    elems = sorted((p.monic() for p in polys if p), key=lambda p: _grlex_key(p.leading()[0]))
+    leads = [g.leading()[0] for g in elems]
+    live: list[int] = []  # indices of the elements not retired, in joining order
+    pairs: list[tuple] = []  # (grlex key of the lcm, creation number, i, j)
+    created = itertools.count()
 
-    pairs = [pair(i, j) for i in range(len(basis)) for j in range(i)]
+    def update(h: int):
+        nonlocal live, pairs
+        mh = leads[h]
+        # the chain criterion on the new pairs: the latest g is tested first,
+        # against the pairs not yet tested and those kept
+        todo = [(_mono_lcm(mh, leads[g]), g) for g in live]
+        kept = []
+        while todo:
+            lcm, g = todo.pop()
+            coprime = all(a + b == c for a, b, c in zip(mh, leads[g], lcm))
+            if coprime or not any(_divides(m, lcm) for m, _, _ in kept) and not any(
+                _divides(m, lcm) for m, _ in todo
+            ):
+                kept.append((lcm, g, coprime))
+        pairs = [
+            (key, n, i, j)
+            for key, n, i, j in pairs
+            if not _divides(mh, key[1])
+            or _mono_lcm(leads[i], mh) == key[1]
+            or _mono_lcm(leads[j], mh) == key[1]
+        ]
+        for lcm, g, coprime in reversed(kept):
+            if not coprime:
+                pairs.append((_grlex_key(lcm), next(created), h, g))
+        live = [g for g in live if not _divides(mh, leads[g])] + [h]
+
+    for h in range(len(elems)):
+        update(h)
     while pairs:
-        pairs.sort(key=lambda p: p[0])  # stable: ties keep their creation order
-        (deg, lcm), i, j = pairs.pop(0)
+        pair = min(pairs)
+        pairs.remove(pair)
+        (deg, lcm), _, i, j = pair
         if deg > _SPAIR_DEGREE_BOUND:
-            continue
-        li, lj = leads[i], leads[j]
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
-            continue  # coprime leads
-        spec = basis[i].spec
-        mi = CommPoly(basis[i].nvars, spec, {_mono_sub(lcm, li): one(spec)})
-        mj = CommPoly(basis[j].nvars, spec, {_mono_sub(lcm, lj): one(spec)})
-        s = mi * basis[i] - mj * basis[j]
-        r = reduce_poly(s, basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            leads.append(basis[-1].leading()[0])
-            pairs.extend(pair(len(basis) - 1, k) for k in range(len(basis) - 1))
-    # inter-reduce for a canonical reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            r = reduce_poly(basis[i], others)
-            if r != basis[i]:
-                changed = True
-                if r.is_zero():
-                    basis = others
-                else:
-                    basis = others + [r.monic()]
-                break
-    return sorted(basis, key=lambda p: _grlex_key(p.leading()[0]))
+            break  # every pair left has at least this degree
+        spec = elems[i].spec
+        mi = CommPoly(elems[i].nvars, spec, {_mono_sub(lcm, leads[i]): one(spec)})
+        mj = CommPoly(elems[j].nvars, spec, {_mono_sub(lcm, leads[j]): one(spec)})
+        r = reduce_poly(mi * elems[i] - mj * elems[j], [elems[g] for g in live])
+        if r:
+            elems.append(r.monic())
+            leads.append(elems[-1].leading()[0])
+            update(len(elems) - 1)
+    # a minimal basis, then one pass of tail reduction gives the reduced one
+    basis = [
+        elems[g]
+        for g in live
+        if not any(_divides(leads[k], leads[g]) for k in live if k != g)
+    ]
+    return sorted(
+        (reduce_poly(g, basis[:k] + basis[k + 1 :]) for k, g in enumerate(basis)),
+        key=lambda p: _grlex_key(p.leading()[0]),
+    )
 
 
 # -- the one boundary to sympy: Scalar <-> domain elements ---------------------
@@ -569,12 +609,11 @@ def k_matrix(relations: list[NcPoly]) -> list[list[CommPoly]]:
 
 
 def minors_ideal(K: list[list[CommPoly]]) -> list[CommPoly]:
-    """The 3x3 minors, one per deleted column, deleting the last column first
-    (frozen to reproduce the worked rank-drop example verbatim)."""
-    ncols = len(K[0])
-    cols = [[row[c] for row in K[:3]] for c in range(ncols)]
-    combos = [tuple(c for c in range(ncols) if c != t) for t in range(ncols - 1, -1, -1)]
-    return pool_minors(cols, combos)
+    """The 3x3 minors of the 3 x m matrix K, one per 3-column subset in
+    lexicographic order; for m = 4 that deletes the last column first (frozen
+    to reproduce the worked rank-drop example verbatim).  Empty for m < 3."""
+    cols = [[row[c] for row in K[:3]] for c in range(len(K[0]))]
+    return pool_minors(cols, list(itertools.combinations(range(len(cols)), 3)))
 
 
 def sigma_at(relations: list[NcPoly], p: tuple[Scalar, ...]) -> tuple[Scalar, ...] | None:

@@ -88,6 +88,24 @@ def test_commpoly_format(spec, terms, want):
     assert p.format(NAMES) == want
 
 
+def test_minors_of_five_relations_are_determinants():
+    # every 3-column subset, lexicographically: 10 minors of a 3 x 5 matrix
+    rl = rels("y*z + z*y + x^2", "z*x + 2 x*z", "x*y - 3 y*x + y^2", "x^2 + z*y", "x*z - y^2 + z^2")
+    K = k_matrix(rl)
+    M = minors_ideal(K)
+    gens = sympy.symbols("v0:3")
+    entries = [[_to_sympy(e, gens) for e in row] for row in K]
+    combos = list(itertools.combinations(range(5), 3))
+    assert len(M) == len(combos) == 10
+    for m, cols in zip(M, combos):
+        det = sympy.Matrix([[row[c] for c in cols] for row in entries]).det()
+        assert sympy.expand(_to_sympy(m, gens) - det) == 0, cols
+    assert not all(m.is_zero() for m in M)
+    # three relations: the one determinant
+    (m,) = minors_ideal(k_matrix(rl[:3]))
+    assert m == M[0]
+
+
 def test_minors_zero_column():
     amb = AMB
     # relations x^2, xy, xz: K has rows only in the x-row; minors missing that

@@ -194,6 +194,25 @@ def test_env_default_truncation(f1_file, monkeypatch):
     assert out.strip() == "1,3,5,7,9,11"
 
 
+def test_env_read_on_every_call(f1_file, monkeypatch):
+    # the parser is built once; the environment is read by each call
+    monkeypatch.setenv("NCCONIC_MAX_DEG", "3")
+    assert run_cli(["hilbert", f1_file]) == (0, "1,3,5,7\n")
+    monkeypatch.setenv("NCCONIC_MAX_DEG", "5")
+    assert run_cli(["hilbert", f1_file]) == (0, "1,3,5,7,9,11\n")
+    monkeypatch.delenv("NCCONIC_MAX_DEG")
+    assert run_cli(["hilbert", f1_file, "--max-deg", "2"]) == (0, "1,3,5\n")
+
+
+def test_cli_pointscheme_three_relations(tmp_path):
+    # a 3 x 3 matrix K has a single minor
+    p = tmp_path / "three.alg"
+    p.write_text("field: Q\ngens: x y z\nrel: x*y - y*x\nrel: y*z - z*y\nrel: x^2\n")
+    code, out = run_cli(["pointscheme", str(p)])
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("minor:")] == ["minor: x^2*y"]
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -204,6 +223,9 @@ def test_env_default_truncation(f1_file, monkeypatch):
         "normal1 on 2 generators",
         "delta on 2 generators",
         "nabla without elems",
+        "pointscheme on 2 generators",
+        "pointscheme on 4 generators",
+        "pointscheme with 2 relations",
     ],
 )
 def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
@@ -218,9 +240,25 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
             "usage error: delta needs exactly 3 generators (got 2)",
         ),
         "nabla without elems": (["nabla", str(tmp_path / "plane.alg")], "usage error: nabla needs"),
+        "pointscheme on 2 generators": (
+            ["pointscheme", str(tmp_path / "plane.alg")],
+            "usage error: pointscheme needs exactly 3 generators (got 2)",
+        ),
+        "pointscheme on 4 generators": (
+            ["pointscheme", str(tmp_path / "four.alg")],
+            "usage error: pointscheme needs exactly 3 generators (got 4)",
+        ),
+        "pointscheme with 2 relations": (
+            ["pointscheme", str(tmp_path / "two.alg")],
+            "usage error: pointscheme needs at least 3 relations (got 2)",
+        ),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")
     (tmp_path / "plane.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\n")
+    (tmp_path / "four.alg").write_text(
+        "field: Q\ngens: w x y z\nrel: x*y - y*x\nrel: y*z - z*y\nrel: z*x - x*z\nrel: w^2\n"
+    )
+    (tmp_path / "two.alg").write_text("field: Q\ngens: x y z\nrel: x*y - y*x\nrel: x^2\n")
     if case == "env not an integer":
         monkeypatch.setenv("NCCONIC_MAX_DEG", "abc")
     code, out = run_cli(args)
