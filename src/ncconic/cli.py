@@ -240,7 +240,9 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-deg", type=_truncation, default=None)
         for k, v in extra.items():
             sp.add_argument(k, **v)
-        sp.set_defaults(fn=fn)
+        # by name: the parser is built once, and a wrapper installed on this
+        # module after that (a tracer, a test) must be the one that runs
+        sp.set_defaults(fn=fn.__name__)
         return sp
 
     add("hilbert", cmd_hilbert)
@@ -258,14 +260,15 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify")
     sp.add_argument("--table", default=None)
     sp.add_argument("--row", default=None)
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn=cmd_verify.__name__)
     return p
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
+    parser = make_parser()
     try:
-        args = make_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     except UsageError as e:
@@ -274,7 +277,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         if "max_deg" in args and args.max_deg is None:
             args.max_deg = _truncation(os.environ.get("NCCONIC_MAX_DEG") or "6")
-        return args.fn(args, out)
+        return globals()[args.fn](args, out)
     except PresSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncconic import cli
 from ncconic.cli import main
 from ncconic.freealg import Ambient, NcPoly
 from ncconic.presfile import (
@@ -202,6 +203,16 @@ def test_env_read_on_every_call(f1_file, monkeypatch):
     assert run_cli(["hilbert", f1_file]) == (0, "1,3,5,7,9,11\n")
     monkeypatch.delenv("NCCONIC_MAX_DEG")
     assert run_cli(["hilbert", f1_file, "--max-deg", "2"]) == (0, "1,3,5\n")
+
+
+def test_commands_are_looked_up_per_call(f1_file, monkeypatch):
+    # the cached parser binds no command: a wrapper installed after the first
+    # call, as a tracer installs one, is the one that runs
+    assert run_cli(["hilbert", f1_file])[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_hilbert", lambda args, out: seen.append(args.file) or 0)
+    assert run_cli(["hilbert", f1_file]) == (0, "")
+    assert seen == [f1_file]
 
 
 def test_cli_pointscheme_three_relations(tmp_path):
