@@ -19,7 +19,7 @@ from .elements import center_degree, find_normal_degree1, normalize_check, regul
 from .findim import FiniteAlgebra, classify, from_presentation, is_frobenius
 from .freealg import NcPoly
 from .galgebra import GradedAlgebra, Presentation, build
-from .geometry import k_matrix, minors_ideal, sigma_at, solve_projective
+from .geometry import NotQuadratic, k_matrix, minors_ideal, sigma_at, solve_projective
 from .homog import (
     RelationSequence,
     dehomogenize_algebra,
@@ -204,7 +204,10 @@ def cmd_pointscheme(args, out) -> int:
         raise UsageError(f"pointscheme needs exactly 3 generators (got {pf.ambient.n})")
     if len(pf.relations) < 3:
         raise UsageError(f"pointscheme needs at least 3 relations (got {len(pf.relations)})")
-    K = k_matrix(pf.relations)
+    try:
+        K = k_matrix(pf.relations)
+    except NotQuadratic as e:
+        raise UsageError(f"pointscheme needs quadratic relations: {e}") from None
     M = minors_ideal(K)
     names = list(pf.ambient.names)
     for m in M:

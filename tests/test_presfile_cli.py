@@ -237,6 +237,7 @@ def test_cli_pointscheme_three_relations(tmp_path):
         "pointscheme on 2 generators",
         "pointscheme on 4 generators",
         "pointscheme with 2 relations",
+        "pointscheme with a cubic relation",
     ],
 )
 def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
@@ -263,6 +264,10 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
             ["pointscheme", str(tmp_path / "two.alg")],
             "usage error: pointscheme needs at least 3 relations (got 2)",
         ),
+        "pointscheme with a cubic relation": (
+            ["pointscheme", str(tmp_path / "cubic.alg")],
+            "usage error: pointscheme needs quadratic relations: relation x^3 is not purely quadratic",
+        ),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")
     (tmp_path / "plane.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\n")
@@ -270,6 +275,9 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
         "field: Q\ngens: w x y z\nrel: x*y - y*x\nrel: y*z - z*y\nrel: z*x - x*z\nrel: w^2\n"
     )
     (tmp_path / "two.alg").write_text("field: Q\ngens: x y z\nrel: x*y - y*x\nrel: x^2\n")
+    (tmp_path / "cubic.alg").write_text(
+        "field: Q\ngens: x y z\nrel: x*y - y*x\nrel: y*z - z*y\nrel: x^3\n"
+    )
     if case == "env not an integer":
         monkeypatch.setenv("NCCONIC_MAX_DEG", "abc")
     code, out = run_cli(args)
