@@ -19,7 +19,7 @@ from .elements import center_degree, find_normal_degree1, normalize_check, regul
 from .findim import FiniteAlgebra, classify, from_presentation, is_frobenius
 from .freealg import NcPoly
 from .galgebra import GradedAlgebra, Presentation, build
-from .geometry import NotQuadratic, k_matrix, minors_ideal, sigma_at, solve_projective
+from .geometry import k_matrix, minors_ideal, sigma_at, solve_projective
 from .homog import (
     RelationSequence,
     dehomogenize_algebra,
@@ -62,6 +62,16 @@ def _load(path: str) -> PresentationFile:
         return parse(fh.read())
 
 
+def _load_quadratic(path: str, cmd: str) -> PresentationFile:
+    """A presentation file whose relations are all homogeneous quadratic;
+    anything else is a UsageError for cmd."""
+    pf = _load(path)
+    for f in pf.relations:
+        if any(len(w) != 2 for w in f.terms):
+            raise UsageError(f"{cmd} needs quadratic relations: relation {f} is not purely quadratic")
+    return pf
+
+
 def _build(pf: PresentationFile, D: int) -> GradedAlgebra:
     return build(Presentation(pf.ambient, pf.relations, pf.label), D)
 
@@ -98,7 +108,7 @@ def cmd_basis(args, out) -> int:
 
 
 def cmd_dual(args, out) -> int:
-    pf = _load(args.file)
+    pf = _load_quadratic(args.file, "dual")
     q = QuadraticPresentation(Presentation(pf.ambient, pf.relations, pf.label))
     d = quadratic_dual(q)
     out.write(print_presentation(PresentationFile(pf.spec, pf.ambient, d.presentation.relations)))
@@ -116,10 +126,12 @@ def cmd_center(args, out) -> int:
 
 
 def cmd_normal1(args, out) -> int:
-    pf = _load(args.file)
+    pf = _load_quadratic(args.file, "normal1")
     if pf.ambient.n != 3:
         raise UsageError(f"normal1 needs exactly 3 generators (got {pf.ambient.n})")
     A = _build(pf, args.max_deg)
+    if A.dim(2) != 4:
+        raise UsageError(f"normal1 needs dim A_2 = 4 (got {A.dim(2)})")
     res = find_normal_degree1(A)
     out.write(f"complete: {'yes' if res.complete else 'no'}\n")
     if res.residue:
@@ -154,7 +166,7 @@ def cmd_dehomogenize(args, out) -> int:
 
 
 def cmd_cmap(args, out) -> int:
-    pf = _load(args.file)
+    pf = _load_quadratic(args.file, "cmap")
     A = _build(pf, args.max_deg)
     S, f = _split(pf)
     res = compute_C(A, split=(S, f))
@@ -199,16 +211,12 @@ def cmd_delta(args, out) -> int:
 
 
 def cmd_pointscheme(args, out) -> int:
-    pf = _load(args.file)
+    pf = _load_quadratic(args.file, "pointscheme")
     if pf.ambient.n != 3:
         raise UsageError(f"pointscheme needs exactly 3 generators (got {pf.ambient.n})")
     if len(pf.relations) < 3:
         raise UsageError(f"pointscheme needs at least 3 relations (got {len(pf.relations)})")
-    try:
-        K = k_matrix(pf.relations)
-    except NotQuadratic as e:
-        raise UsageError(f"pointscheme needs quadratic relations: {e}") from None
-    M = minors_ideal(K)
+    M = minors_ideal(k_matrix(pf.relations))
     names = list(pf.ambient.names)
     for m in M:
         out.write("minor: " + m.format(names) + "\n")

@@ -10,7 +10,9 @@ bounded Buchberger in graded lex, then univariate minimal polynomials in the
 quotient and exact back-substitution, branching on the last variable that
 leads a basis element by a pure power (zero-dimensional when all do).  Roots
 are taken over the instance field only; anything that fails to split is
-reported as a residue, never guessed.  On a positive-dimensional ideal the
+reported as a residue, never guessed.  The unknowns are the chart's free
+coordinates: one that no equation involves, or that a substituted root
+leaves unconstrained, is a positive-dimensional branch, never set to 0.  On a positive-dimensional ideal the
 branching variable may be transcendental; when the gcd of the basis involves
 another variable, every element of the ideal shares a factor that no
 univariate polynomial has, so the elimination ideal in that variable is zero
@@ -26,20 +28,21 @@ projective_charts is the one chart loop, shared by solve_projective (the
 point scheme, folded into one SolveResult) and the degree-1 normal-element
 search in elements (read chart by chart).
 
-This is the one module that talks to sympy.  to_domain and from_domain map
-a Scalar to and from an element of sympy's domain for its field (QQ or
-QQ<sqrt(d)>, built once per field on first use); root finding, the gcd
-certificate and the printed residues all cross there.
+This is the one module that talks to sympy, and it imports sympy on first
+use, not at import: a command that takes no root of degree 2 or more and no
+gcd certificate runs without it.  to_domain and from_domain map a Scalar
+to and from an element of sympy's domain for its field (QQ or QQ<sqrt(d)>,
+built once per field on first use); root finding, the gcd certificate and
+the printed residues all cross there.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy
 
 from .freealg import NcPoly, format_term
 from .linalg import kernel_basis, krylov_min_poly
@@ -363,7 +366,10 @@ def buchberger(polys: list[CommPoly]) -> list[CommPoly]:
 @functools.cache
 def _domain(spec: FieldSpec):
     """sympy's domain for spec, QQ or QQ<sqrt(d)>, with sqrt(d) in it.  Built on
-    first use, so importing the package builds no number field."""
+    first use, so importing the package neither imports sympy nor builds a
+    number field."""
+    import sympy
+
     if spec.is_rational:
         return sympy.QQ, sympy.QQ.zero
     K = sympy.QQ.algebraic_field(sympy.sqrt(spec.d))
@@ -372,6 +378,8 @@ def _domain(spec: FieldSpec):
 
 def to_domain(c: Scalar):
     """c as an element of sympy's domain for its field."""
+    import sympy
+
     K, root = _domain(c.spec)
     a, b = (K.convert(sympy.QQ(x.numerator, x.denominator)) for x in (c.a, c.b))
     return a + b * root
@@ -421,6 +429,8 @@ def univariate_roots(coeffs: list[Scalar], spec: FieldSpec) -> tuple[list[Scalar
             roots.append(zero(spec))
         roots.sort(key=lambda s: (s.a, s.b))
         return roots, True
+    import sympy
+
     poly = sympy.Poly.from_list(
         [to_domain(c) for c in reversed(coeffs)], sympy.Symbol("t"), domain=_domain(spec)[0]
     )
@@ -476,6 +486,8 @@ def _common_factor_variables(gb: list[CommPoly]) -> set[int]:
     """The variables in which the gcd of gb has positive degree.  The gcd of
     a generating set is the gcd of the whole ideal, so a basis cut off at its
     degree bound gives the same answer."""
+    import sympy
+
     domain = _domain(gb[0].spec)[0]
     gens = sympy.symbols(f"v0:{gb[0].nvars}")
     common = None
@@ -492,42 +504,47 @@ def _common_factor_variables(gb: list[CommPoly]) -> set[int]:
 _MAX_DEGREE = 4  # the largest equation degree eliminate_small accepts
 
 
-def eliminate_small(system: list[CommPoly]) -> SolveResult:
-    """Solve a small polynomial system over its field; see module docstring."""
+def eliminate_small(system: list[CommPoly], free: Iterable[int] | None = None) -> SolveResult:
+    """Solve a small polynomial system over its field; see module docstring.
+    The unknowns are the variables in free (by default, those that occur);
+    the other coordinates of each solution are 0.  An unknown that no
+    equation involves is a free coordinate, never set to 0."""
     polys = [p for p in system if not p.is_zero()]
     if not polys:
         raise BoundExceeded("empty system is positive-dimensional")
     nvars = polys[0].nvars
     spec = polys[0].spec
-    active = sorted(set().union(*(p.variables() for p in polys)))
-    if nvars > 3 and len(active) > 3:
+    occurring = set().union(*(p.variables() for p in polys))
+    free = sorted(occurring if free is None else free)
+    if not occurring <= set(free):
+        raise ValueError("an equation involves a variable that is not an unknown")
+    if nvars > 3 and len(free) > 3:
         raise BoundExceeded("more than 3 variables")
     if len(polys) > 20:
         raise BoundExceeded("more than 20 equations")
     if any(p.degree() > _MAX_DEGREE for p in polys):
         raise BoundExceeded(f"degree above {_MAX_DEGREE}")
-    return _solve(polys, nvars, spec)
+    return _solve(polys, free, nvars, spec)
 
 
-def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec) -> SolveResult:
+def _solve(polys: list[CommPoly], free: list[int], nvars: int, spec: FieldSpec) -> SolveResult:
     if any(p and not p.variables() for p in polys):
         return SolveResult([], True)  # a nonzero constant
     polys = [p for p in polys if p]
     if not polys:
-        # every equation vanished identically: solutions unconstrained
+        # every equation vanished identically: the free variables are unconstrained
         return SolveResult([], False, "positive-dimensional: unconstrained variables", [({}, [])])
-    active = sorted(set().union(*(p.variables() for p in polys)))
     gb = buchberger(polys)
     if any(len(g.terms) == 1 and sum(g.leading()[0]) == 0 for g in gb):
         return SolveResult([], True)
     # the variables some leading monomial is a pure power of: the ideal is
-    # zero-dimensional when every active variable is one of them
+    # zero-dimensional when every free variable is one of them
     pure = set()
     for g in gb:
         lm = g.leading()[0]
         pure.update(i for i, e in enumerate(lm) if 0 < e == sum(lm))
     var = max(pure, default=None)
-    positive_dimensional = len(pure) < len(active)
+    positive_dimensional = len(pure) < len(free)
     mp = None
     # on a positive-dimensional ideal, a factor of the whole ideal in another
     # variable leaves no univariate p(var) in it (every factor of p lies in
@@ -553,16 +570,16 @@ def _solve(polys: list[CommPoly], nvars: int, spec: FieldSpec) -> SolveResult:
     solutions: list[tuple[Scalar, ...]] = []
     residuals: list[tuple[dict[int, Scalar], list[CommPoly]]] = []
     complete = split and not positive_dimensional
+    rest = [i for i in free if i != var]
     for r in roots:
         sub = [p.substitute_value(var, r) for p in polys]
-        rest_active = [i for i in active if i != var]
-        if not rest_active:
+        if not rest:
             if all(p.is_zero() or p.evaluate([zero(spec)] * nvars).is_zero() for p in sub):
                 sol = [zero(spec)] * nvars
                 sol[var] = r
                 solutions.append(tuple(sol))
             continue
-        sub_result = _solve(sub, nvars, spec)
+        sub_result = _solve(sub, rest, nvars, spec)
         complete = complete and sub_result.complete
         if sub_result.residue and residue is None:
             residue = sub_result.residue
@@ -664,7 +681,7 @@ def projective_charts(
         elif not charted:
             res = None
         else:
-            res = eliminate_small(charted)
+            res = eliminate_small(charted, free=range(k + 1, nvars))
             res.solutions = [origin[: k + 1] + s[k + 1 :] for s in res.solutions]
             res.residual_ideals = [({**fixed, **subs}, gb) for subs, gb in res.residual_ideals]
         charts.append((origin, res))

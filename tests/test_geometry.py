@@ -277,6 +277,34 @@ def test_points_annihilate_minors():
         assert p == normalize_point(p)
 
 
+def test_free_chart_coordinates_are_not_set_to_zero():
+    # a chart coordinate that no equation involves is free: y^2 = 0 is the
+    # line y = 0, which meets chart 0 in the family (1:0:t), not in (1:0:0)
+    x, y = (CommPoly.var(3, i, QQ) for i in range(2))
+    o, z = one(QQ), zero(QQ)
+    res = solve_projective([y * y])
+    assert res.solutions == [(z, z, o)]
+    assert not res.complete
+    assert res.residual_ideals == [({0: o, 1: z}, [])]
+    # x*y = 0: the family (1:0:t) on chart 0 is kept beside the vanishing chart 1
+    res = solve_projective([x * y])
+    assert res.solutions == [(z, z, o)]
+    assert not res.complete
+    assert res.residual_ideals == [({0: o, 1: z}, []), ({0: z, 1: o}, [])]
+
+
+def test_free_coordinate_after_a_root():
+    # x^2 = 1, (x - 1) y = 0: the root x = 1 leaves y free, x = -1 forces y = 0
+    x, y = (CommPoly.var(2, i, QQ) for i in range(2))
+    c = CommPoly.const(2, one(QQ))
+    res = eliminate_small([x * x - c, (x - c) * y])
+    assert res.solutions == [(Scalar.of(-1, QQ), zero(QQ))]
+    assert not res.complete
+    assert res.residual_ideals == [({0: one(QQ)}, [])]
+    with pytest.raises(ValueError):
+        eliminate_small([x * y], free=[1])
+
+
 def _component_rows():
     return [r for r in dataset.load_rows() if r.table == "4" and r.expect("component")]
 

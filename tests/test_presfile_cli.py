@@ -238,6 +238,10 @@ def test_cli_pointscheme_three_relations(tmp_path):
         "pointscheme on 4 generators",
         "pointscheme with 2 relations",
         "pointscheme with a cubic relation",
+        "dual with a cubic relation",
+        "cmap with a cubic relation",
+        "normal1 with a cubic relation",
+        "normal1 with dim A_2 = 7",
     ],
 )
 def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
@@ -267,6 +271,22 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
         "pointscheme with a cubic relation": (
             ["pointscheme", str(tmp_path / "cubic.alg")],
             "usage error: pointscheme needs quadratic relations: relation x^3 is not purely quadratic",
+        ),
+        "dual with a cubic relation": (
+            ["dual", str(tmp_path / "cubic.alg")],
+            "usage error: dual needs quadratic relations: relation x^3 is not purely quadratic",
+        ),
+        "cmap with a cubic relation": (
+            ["cmap", str(tmp_path / "cubic.alg")],
+            "usage error: cmap needs quadratic relations: relation x^3 is not purely quadratic",
+        ),
+        "normal1 with a cubic relation": (
+            ["normal1", str(tmp_path / "cubic.alg")],
+            "usage error: normal1 needs quadratic relations: relation x^3 is not purely quadratic",
+        ),
+        "normal1 with dim A_2 = 7": (
+            ["normal1", str(tmp_path / "two.alg")],
+            "usage error: normal1 needs dim A_2 = 4 (got 7)",
         ),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")

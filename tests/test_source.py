@@ -6,7 +6,8 @@
   pyproject.toml, for entry points): a test alone does not keep library code
   alive.
 - No module in src/, scripts/ or tests/ imports a name it never uses.
-- Within the package only geometry imports sympy.
+- Within the package only geometry imports sympy, and only inside functions:
+  importing the package does not import sympy.
 """
 
 import ast
@@ -100,17 +101,32 @@ def test_no_unused_imports():
     assert not found, f"imported names never used: {found}"
 
 
+def _sympy_imports(node: ast.AST, in_function: bool = False):
+    """(import node, whether it runs inside a function) for every import of
+    sympy under node."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        names = []
+    if any(name.split(".")[0] == "sympy" for name in names):
+        yield node, in_function
+    inside = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    for child in ast.iter_child_nodes(node):
+        yield from _sympy_imports(child, inside)
+
+
 def test_only_geometry_imports_sympy():
-    # one boundary to sympy: every Scalar <-> sympy conversion is in geometry
+    # one boundary to sympy: every Scalar <-> sympy conversion is in geometry;
+    # and it is imported on first use, so importing the package (every CLI
+    # start) does not pay for it
     importers = set()
+    at_import = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "sympy" for name in names):
-                importers.add(path.stem)
+        for node, in_function in _sympy_imports(_parse(path)):
+            importers.add(path.stem)
+            if not in_function:
+                at_import.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert importers == {"geometry"}, importers
+    assert not at_import, f"sympy imported at module import time: {at_import}"
