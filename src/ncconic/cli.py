@@ -15,11 +15,24 @@ import os
 import sys
 
 from . import dataset
-from .elements import center_degree, find_normal_degree1, normalize_check, regularity_check
+from .elements import (
+    UnsupportedDimension,
+    center_degree,
+    find_normal_degree1,
+    normalize_check,
+    regularity_check,
+)
 from .findim import FiniteAlgebra, classify, from_presentation, is_frobenius
 from .freealg import NcPoly
 from .galgebra import GradedAlgebra, Presentation, build
-from .geometry import k_matrix, minors_ideal, sigma_at, solve_projective
+from .geometry import (
+    NotQuadratic,
+    check_quadratic,
+    k_matrix,
+    minors_ideal,
+    sigma_at,
+    solve_projective,
+)
 from .homog import (
     RelationSequence,
     dehomogenize_algebra,
@@ -66,9 +79,10 @@ def _load_quadratic(path: str, cmd: str) -> PresentationFile:
     """A presentation file whose relations are all homogeneous quadratic;
     anything else is a UsageError for cmd."""
     pf = _load(path)
-    for f in pf.relations:
-        if any(len(w) != 2 for w in f.terms):
-            raise UsageError(f"{cmd} needs quadratic relations: relation {f} is not purely quadratic")
+    try:
+        check_quadratic(pf.relations)
+    except NotQuadratic as e:
+        raise UsageError(f"{cmd} needs quadratic relations: {e}") from None
     return pf
 
 
@@ -129,10 +143,7 @@ def cmd_normal1(args, out) -> int:
     pf = _load_quadratic(args.file, "normal1")
     if pf.ambient.n != 3:
         raise UsageError(f"normal1 needs exactly 3 generators (got {pf.ambient.n})")
-    A = _build(pf, args.max_deg)
-    if A.dim(2) != 4:
-        raise UsageError(f"normal1 needs dim A_2 = 4 (got {A.dim(2)})")
-    res = find_normal_degree1(A)
+    res = find_normal_degree1(_build(pf, args.max_deg))
     out.write(f"complete: {'yes' if res.complete else 'no'}\n")
     if res.residue:
         out.write(f"residue: {res.residue}\n")
@@ -292,7 +303,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except PresSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (UsageError, dataset.NoMatchingRows) as e:
+    except (UsageError, UnsupportedDimension, dataset.NoMatchingRows) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:

@@ -26,6 +26,10 @@ from .rewrite import DegreeExceedsTruncation
 from .scalars import Scalar, one, zero
 
 
+class UnsupportedDimension(Exception):
+    """The degree-1 search handles only algebras with dim A_2 = dim A_3 = 4."""
+
+
 @dataclass
 class NormalCertificate:
     w: NcPoly
@@ -212,7 +216,7 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
         raise DegreeExceedsTruncation("truncation must be at least 3")
     dim2 = A.dim(2)
     if dim2 != 4:
-        raise ValueError(f"search implemented for dim A_2 = 4 (got {dim2})")
+        raise UnsupportedDimension(f"degree-1 search needs dim A_2 = 4 (got {dim2})")
     gens = [NcPoly.generator(amb, i) for i in range(n)]
     # coords of x_k x_j in A_2, reused for both product orders
     prod = [[A.coords(gens[k] * gens[j], 2) for j in range(n)] for k in range(n)]
@@ -251,7 +255,7 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
     basis2 = A.basis(2)
     dim3 = A.dim(3)
     if dim3 != 4:
-        raise ValueError(f"search implemented for dim A_3 = 4 (got {dim3})")
+        raise UnsupportedDimension(f"degree-1 search needs dim A_3 = 4 (got {dim3})")
     gens3 = [
         [A.coords(NcPoly.monomial(amb, b2) * gens[k], 3) for k in range(n)] for b2 in basis2
     ]

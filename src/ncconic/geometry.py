@@ -12,12 +12,12 @@ leads a basis element by a pure power (zero-dimensional when all do).  Roots
 are taken over the instance field only; anything that fails to split is
 reported as a residue, never guessed.  The unknowns are the chart's free
 coordinates: one that no equation involves, or that a substituted root
-leaves unconstrained, is a positive-dimensional branch, never set to 0.  On a positive-dimensional ideal the
-branching variable may be transcendental; when the gcd of the basis involves
-another variable, every element of the ideal shares a factor that no
-univariate polynomial has, so the elimination ideal in that variable is zero
-(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3) and no Krylov
-powers are reduced.
+leaves unconstrained, is a positive-dimensional branch, never set to 0.  On
+a positive-dimensional ideal the branching variable may be transcendental;
+when the gcd of the basis involves another variable, every element of the
+ideal shares a factor that no univariate polynomial has, so the elimination
+ideal in that variable is zero (Cox-Little-O'Shea, Ideals, Varieties, and
+Algorithms, ch. 3) and no Krylov powers are reduced.
 
 buchberger prunes its S-pairs with the Gebauer-Moeller criteria (coprime
 leads, the chain criterion on new and old pairs) and retires elements whose
@@ -504,19 +504,18 @@ def _common_factor_variables(gb: list[CommPoly]) -> set[int]:
 _MAX_DEGREE = 4  # the largest equation degree eliminate_small accepts
 
 
-def eliminate_small(system: list[CommPoly], free: Iterable[int] | None = None) -> SolveResult:
+def eliminate_small(system: list[CommPoly], free: Iterable[int]) -> SolveResult:
     """Solve a small polynomial system over its field; see module docstring.
-    The unknowns are the variables in free (by default, those that occur);
-    the other coordinates of each solution are 0.  An unknown that no
-    equation involves is a free coordinate, never set to 0."""
+    The unknowns are the variables in free; the other coordinates of each
+    solution are 0.  An unknown that no equation involves is a free
+    coordinate, never set to 0."""
     polys = [p for p in system if not p.is_zero()]
     if not polys:
         raise BoundExceeded("empty system is positive-dimensional")
     nvars = polys[0].nvars
     spec = polys[0].spec
-    occurring = set().union(*(p.variables() for p in polys))
-    free = sorted(occurring if free is None else free)
-    if not occurring <= set(free):
+    free = sorted(free)
+    if not set().union(*(p.variables() for p in polys)) <= set(free):
         raise ValueError("an equation involves a variable that is not an unknown")
     if nvars > 3 and len(free) > 3:
         raise BoundExceeded("more than 3 variables")
@@ -606,6 +605,13 @@ def normalize_point(p: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
     return tuple(inv * c for c in p)
 
 
+def check_quadratic(relations: list[NcPoly]) -> None:
+    """Raise NotQuadratic unless every relation is homogeneous of degree 2."""
+    for f in relations:
+        if any(len(w) != 2 for w in f.terms):
+            raise NotQuadratic(f"relation {f} is not purely quadratic")
+
+
 def k_matrix(relations: list[NcPoly]) -> list[list[CommPoly]]:
     """3 x m matrix K of linear forms with (x,y,z) K = (f_1,...,f_m)."""
     if not relations:
@@ -613,12 +619,10 @@ def k_matrix(relations: list[NcPoly]) -> list[list[CommPoly]]:
     amb = relations[0].ambient
     n = amb.n
     spec = amb.spec
+    check_quadratic(relations)
     K = [[CommPoly.zero(n, spec) for _ in relations] for _ in range(n)]
     for k, f in enumerate(relations):
-        for w, c in f.terms.items():
-            if len(w) != 2:
-                raise NotQuadratic(f"relation {f} is not purely quadratic")
-            i, j = w
+        for (i, j), c in f.terms.items():
             mono = [0] * n
             mono[j] = 1
             K[i][k] = K[i][k] + CommPoly(n, spec, {tuple(mono): c})
@@ -639,13 +643,11 @@ def sigma_at(relations: list[NcPoly], p: tuple[Scalar, ...]) -> tuple[Scalar, ..
     amb = relations[0].ambient
     n = amb.n
     spec = amb.spec
+    check_quadratic(relations)
     rows = []
     for f in relations:
         row = [zero(spec)] * n
-        for w, c in f.terms.items():
-            if len(w) != 2:
-                raise NotQuadratic(f"relation {f} is not purely quadratic")
-            i, j = w
+        for (i, j), c in f.terms.items():
             row[j] = row[j] + c * p[i]
         rows.append(row)
     ker = kernel_basis(rows, n, spec)

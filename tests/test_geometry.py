@@ -126,12 +126,12 @@ def test_eliminate_small_examples():
     Y0 = CommPoly.var(3, 1, QQ)
     one_p = CommPoly.const(3, one(QQ))
     two_p = CommPoly.const(3, Scalar.of(2, QQ))
-    r = eliminate_small([X0 - one_p, Y0 - two_p])
+    r = eliminate_small([X0 - one_p, Y0 - two_p], free=[0, 1])
     assert len(r.solutions) == 1 and r.complete
-    r2 = eliminate_small([X0 * X0 - one_p, Y0 * Y0 - one_p])
+    r2 = eliminate_small([X0 * X0 - one_p, Y0 * Y0 - one_p], free=[0, 1])
     assert len(r2.solutions) == 4 and r2.complete
     with pytest.raises(BoundExceeded):
-        eliminate_small([X0] * 21)
+        eliminate_small([X0] * 21, free=[0])
 
 
 def test_roots_across_fields():
@@ -220,9 +220,11 @@ def test_eliminant_residue_text():
     def const(a, b=0):
         return CommPoly.const(3, Scalar(Fraction(a), Fraction(b), q2))
 
-    r = eliminate_small([v0 * v0 - const(3)])
+    r = eliminate_small([v0 * v0 - const(3)], free=[0])
     assert r.residue == "eliminant of v0 does not split over Q(sqrt 2): (-3)*t^0+(0)*t^1+(1)*t^2"
-    r = eliminate_small([v0 * v0 * v0 - const(Fraction(1, 2), Fraction(-3, 4)) * v0 + const(0, 5)])
+    r = eliminate_small(
+        [v0 * v0 * v0 - const(Fraction(1, 2), Fraction(-3, 4)) * v0 + const(0, 5)], free=[0]
+    )
     assert r.residue == (
         "eliminant of v0 does not split over Q(sqrt 2): "
         "(5*sqrt(2))*t^0+(-1/2 + 3*sqrt(2)/4)*t^1+(0)*t^2+(1)*t^3"
@@ -297,7 +299,7 @@ def test_free_coordinate_after_a_root():
     # x^2 = 1, (x - 1) y = 0: the root x = 1 leaves y free, x = -1 forces y = 0
     x, y = (CommPoly.var(2, i, QQ) for i in range(2))
     c = CommPoly.const(2, one(QQ))
-    res = eliminate_small([x * x - c, (x - c) * y])
+    res = eliminate_small([x * x - c, (x - c) * y], free=[0, 1])
     assert res.solutions == [(Scalar.of(-1, QQ), zero(QQ))]
     assert not res.complete
     assert res.residual_ideals == [({0: one(QQ)}, [])]
@@ -352,13 +354,13 @@ def test_transcendental_coordinate_of_a_table_ideal():
     assert _common_factor_variables(gb) == {1, 2}
     # the certificate's answer, the slow way: no dependence within 40 powers
     assert _coordinate_min_poly(gb, 1, 3, QQ) is None
-    r = eliminate_small(gb)
+    r = eliminate_small(gb, free=[1, 2])
     assert not r.complete and r.solutions == [] and r.residual_ideals == [({}, gb)]
     assert r.residue.startswith("positive-dimensional component, GB leads: ")
     # a common factor in the branching variable alone decides nothing: x^2 - 1
     # still has its roots, and y stays free on both branches
     x2 = _commpoly(QQ, {(2, 0, 0): (1, 0), (0, 0, 0): (-1, 0)})
-    r = eliminate_small([x2, x2 * _commpoly(QQ, {(0, 1, 0): (1, 0)})])
+    r = eliminate_small([x2, x2 * _commpoly(QQ, {(0, 1, 0): (1, 0)})], free=[0, 1])
     assert r.residue == "positive-dimensional component alongside isolated points"
     assert [subs for subs, _ in r.residual_ideals] == [{0: Scalar.of(-1, QQ)}, {0: one(QQ)}]
 

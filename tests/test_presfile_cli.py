@@ -242,6 +242,7 @@ def test_cli_pointscheme_three_relations(tmp_path):
         "cmap with a cubic relation",
         "normal1 with a cubic relation",
         "normal1 with dim A_2 = 7",
+        "cmap with dual dim A_2 = 2",
     ],
 )
 def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
@@ -286,7 +287,11 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
         ),
         "normal1 with dim A_2 = 7": (
             ["normal1", str(tmp_path / "two.alg")],
-            "usage error: normal1 needs dim A_2 = 4 (got 7)",
+            "usage error: degree-1 search needs dim A_2 = 4 (got 7)",
+        ),
+        "cmap with dual dim A_2 = 2": (
+            ["cmap", str(tmp_path / "two.alg")],
+            "usage error: degree-1 search needs dim A_2 = 4 (got 2)",
         ),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")
