@@ -48,6 +48,7 @@ from .presfile import (
     print_presentation,
 )
 from .quadratic import QuadraticPresentation, quadratic_dual
+from .rewrite import DegreeExceedsTruncation
 
 
 class CheckFailure(Exception):
@@ -58,16 +59,20 @@ class UsageError(Exception):
     pass
 
 
-def _truncation(text: str) -> int:
-    """A --max-deg or NCCONIC_MAX_DEG value: an integer of at least 2.  Raises
-    UsageError, which argparse passes through, for a one-line message."""
+def _at_least(low: int, what: str, text: str) -> int:
+    """text as an integer of at least low.  Raises UsageError, which argparse
+    passes through, for a one-line message."""
     try:
         d = int(text)
     except ValueError:
         d = None
-    if d is None or d < 2:
-        raise UsageError(f"truncation degree must be an integer >= 2 (got {text!r})")
+    if d is None or d < low:
+        raise UsageError(f"{what} must be an integer >= {low} (got {text!r})")
     return d
+
+
+_truncation = functools.partial(_at_least, 2, "truncation degree")  # --max-deg, NCCONIC_MAX_DEG
+_degree = functools.partial(_at_least, 0, "degree")  # --deg
 
 
 def _load(path: str) -> PresentationFile:
@@ -254,10 +259,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ncconic", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, file_arg=True, **extra):
+    def add(name, fn, **extra):
         sp = sub.add_parser(name)
-        if file_arg:
-            sp.add_argument("file")
+        sp.add_argument("file")
         # None: main reads NCCONIC_MAX_DEG on every call
         sp.add_argument("--max-deg", type=_truncation, default=None)
         for k, v in extra.items():
@@ -268,9 +272,9 @@ def make_parser() -> argparse.ArgumentParser:
         return sp
 
     add("hilbert", cmd_hilbert)
-    add("basis", cmd_basis, **{"--deg": {"type": int, "required": True}})
+    add("basis", cmd_basis, **{"--deg": {"type": _degree, "required": True}})
     add("dual", cmd_dual)
-    add("center", cmd_center, **{"--deg": {"type": int, "required": True}})
+    add("center", cmd_center, **{"--deg": {"type": _degree, "required": True}})
     add("normal1", cmd_normal1)
     add("homogenize", cmd_homogenize)
     add("dehomogenize", cmd_dehomogenize, **{"--elem": {"required": True}})
@@ -303,7 +307,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except PresSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (UsageError, UnsupportedDimension, dataset.NoMatchingRows) as e:
+    except (UsageError, UnsupportedDimension, DegreeExceedsTruncation, dataset.NoMatchingRows) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:

@@ -58,14 +58,14 @@ class CResult:
 
 def compute_C(
     A: GradedAlgebra,
-    split: tuple[Presentation, NcPoly] | None = None,
+    split: tuple[Presentation, NcPoly],
     search: Degree1Search | None = None,
 ) -> CResult:
     """C(A) = A^![(f^!)^{-1}]_0 as explicit structure constants.
 
-    split, when given, is (quantum plane presentation S, extra relation f)
-    with A = S + (f); it enables the localization fallback.  search, when
-    given, is the degree-1 search already run on the dual of A."""
+    split is (quantum plane presentation S, extra relation f) with A = S + (f),
+    for the localization fallback.  search, when given, is the degree-1
+    search already run on the dual of A."""
     if A.dim(1) != 3:
         raise ValueError("compute_C needs dim A_1 = 3")
     dual = search.algebra if search is not None else dual_of(A)
@@ -77,11 +77,6 @@ def compute_C(
     if preferred:
         cert = preferred[0]
         return CResult(dehomogenize_algebra(dual, cert), f"dehomogenize({cert.w})", cert)
-    if split is None:
-        raise NoRegularCertificate(
-            f"no degree-1 regular normal element found (complete={search.complete}, "
-            f"residue={search.residue}) and no S/f split supplied"
-        )
     S_pres, f = split
     fd = dual_element(QuadraticPresentation(S_pres), f)
     c2 = normalize_check(dual, fd)

@@ -1,17 +1,20 @@
 """Machine-readable table rows and the row-by-row verification driver.
 
-Rows live in text files under data/ in the presentation grammar plus
-expect_* directives; every row carries its own field.  verify() runs the
-full pipeline per row and emits one deterministic pass/fail/skip line per
-check.  Families are verified at the sampled parameter values named in the
-row labels; rows whose data cannot be certified over a supported field carry
-an explicit skip or note, never a silent pass.
+Rows live in text files under data/ in the presentation grammar plus row
+directives; every row carries its own field.  verify() runs the full
+pipeline per row and emits one deterministic line per check; a check that
+raises is a FAIL, or an ERROR when ncconic does not define the exception.
+Families are verified at the sampled parameter values named in the row
+labels; rows whose data cannot be certified over a supported field carry an
+explicit skip or note, never a silent pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .elements import (
@@ -41,11 +44,18 @@ from .homog import (
     is_strongly_regular_normal,
     twist_presentation,
 )
-from .cmap import compute_C, delta, dual_of, nabla
+from .cmap import NoCentralCertificate, compute_C, delta, dual_of, nabla
 from .linalg import complete_to_basis, coords_in_basis, kernel_basis, rank, span_equal
-from .presfile import PresSyntaxError, parse_field, parse_poly
+from .presfile import (
+    PresSyntaxError,
+    PresentationFile,
+    directive_poly,
+    directives,
+    parse_poly,
+    read_directive,
+)
 from .quadratic import koszul_series_check, quad1_vector, quad_vector
-from .scalars import FieldSpec, Scalar, zero
+from .scalars import Scalar, zero
 
 
 class NoMatchingRows(Exception):
@@ -56,15 +66,9 @@ CONIC_TABLES = {"5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15"}
 
 
 @dataclass
-class TableRow:
-    table: str
-    label: str
-    spec: FieldSpec
-    ambient: Ambient | None
-    relations: list[NcPoly] = field(default_factory=list)
-    elems: list[NcPoly] = field(default_factory=list)
+class TableRow(PresentationFile):
+    table: str = ""
     tgt: list[NcPoly] = field(default_factory=list)
-    expects: dict[str, list[str]] = field(default_factory=dict)
     kind: str = ""
     witness: list[list[Scalar]] | None = None
     skip: str = ""
@@ -83,7 +87,7 @@ class CheckResult:
     table: str
     row: str
     check: str
-    status: str  # PASS | FAIL | SKIP | NOTE
+    status: str  # PASS | FAIL | SKIP | NOTE | ERROR
     detail: str = ""
 
     def line(self) -> str:
@@ -97,7 +101,7 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return not any(r.status == "FAIL" for r in self.results)
+        return not any(r.status in ("FAIL", "ERROR") for r in self.results)
 
 
 def _table_sort_key(t: str):
@@ -112,75 +116,28 @@ def _table_sort_key(t: str):
 
 def parse_rows(text: str) -> list[TableRow]:
     rows: list[TableRow] = []
-    cur: dict | None = None
-
-    def finish():
-        nonlocal cur
-        if cur is None:
-            return
-        rows.append(
-            TableRow(
-                table=cur["table"],
-                label=cur["label"],
-                spec=cur["spec"],
-                ambient=cur.get("ambient"),
-                relations=cur.get("rel", []),
-                elems=cur.get("elem", []),
-                tgt=cur.get("tgt", []),
-                expects=cur.get("expects", {}),
-                kind=cur.get("kind", ""),
-                witness=cur.get("witness"),
-                skip=cur.get("skip", ""),
-                stype=cur.get("stype", ""),
-            )
-        )
-        cur = None
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
+    for ln, key, value in directives(text):
         if key == "row":
-            finish()
-            cur = {"label": value, "table": "", "spec": None, "expects": {}}
+            rows.append(TableRow(label=value))
             continue
-        if cur is None:
+        if not rows:
             raise PresSyntaxError(ln, 1, "a 'row:' header first")
-        if key == "table":
-            cur["table"] = value
-        elif key == "field":
-            cur["spec"] = parse_field(value, ln)
-        elif key == "gens":
-            cur["ambient"] = Ambient(tuple(value.split()), cur["spec"])
+        row = rows[-1]
+        if read_directive(row, ln, key, value):
+            continue
+        if key in ("table", "kind", "skip"):
+            setattr(row, key, value)
         elif key == "type":
-            cur["stype"] = value
-        elif key in ("rel", "elem", "tgt"):
-            cur.setdefault(key, []).append(parse_poly(value, cur["ambient"], ln))
-        elif key == "kind":
-            cur["kind"] = value
-        elif key == "skip":
-            cur["skip"] = value
+            row.stype = value
+        elif key == "tgt":
+            row.tgt.append(directive_poly(row, ln, key, value))
         elif key == "witness":
-            amb = cur["ambient"]
-            rows_txt = [r.strip() for r in value.split(";")]
-            mat = []
-            for rtxt in rows_txt:
-                entries = []
-                for etxt in rtxt.split(","):
-                    p = parse_poly(etxt.strip(), amb, ln)
-                    if p.degree() > 0:
-                        raise PresSyntaxError(ln, 1, "scalar witness entries")
-                    entries.append(p.terms.get((), zero(amb.spec)))
-                mat.append(entries)
-            cur["witness"] = mat
-        elif key.startswith("expect_"):
-            cur["expects"].setdefault(key[len("expect_") :], []).append(value)
+            mat = [[directive_poly(row, ln, key, e) for e in r.split(",")] for r in value.split(";")]
+            if any(p.degree() > 0 for r in mat for p in r):
+                raise PresSyntaxError(ln, 1, "scalar witness entries")
+            row.witness = [[p.terms.get((), zero(row.spec)) for p in r] for r in mat]
         else:
             raise PresSyntaxError(ln, 1, f"a known row directive (got '{key}')")
-    finish()
     return rows
 
 
@@ -200,6 +157,16 @@ H_DUAL = [1, 3, 4, 4, 4, 4, 4]
 
 def _res(row: TableRow, check: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(row.table, row.label, check, "PASS" if ok else "FAIL", detail)
+
+
+@contextlib.contextmanager
+def _guard(row: TableRow, check: str, results: list[CheckResult]):
+    """Run one check: an exception of a class ncconic defines is a FAIL, any other an ERROR."""
+    try:
+        yield
+    except Exception as e:
+        status = "FAIL" if type(e).__module__.startswith("ncconic.") else "ERROR"
+        results.append(CheckResult(row.table, row.label, check, status, f"{type(e).__name__}: {e}"))
 
 
 def _class_matches(row: TableRow, got, results: list[CheckResult]):
@@ -311,22 +278,17 @@ def verify_conic_row(row: TableRow) -> list[CheckResult]:
     element_check("rn", row.expect1("rn"))
     element_check("rz", row.expect1("rz"))
 
-    try:
+    with _guard(row, "C_map", results):
         res = compute_C(A, split=(S_pres, f), search=search)
         results.append(_res(row, "C_dim4", res.algebra.dim == 4, f"dim {res.algebra.dim}"))
         results.append(_res(row, "C_frobenius", is_frobenius(res.algebra)))
-        got = classify(res.algebra)
-        _class_matches(row, got, results)
-    except Exception as e:
-        results.append(_res(row, "C_map", False, f"{type(e).__name__}: {e}"))
+        _class_matches(row, classify(res.algebra), results)
 
     rz = row.expect1("rz")
     if rz and rz not in ("EMPTY", "STAR"):
-        try:
+        with _guard(row, "rehomogenize_dual_span", results):
             ok = rehomogenization_span_identity(search)
             results.append(_res(row, "rehomogenize_dual_span", ok))
-        except Exception as e:
-            results.append(_res(row, "rehomogenize_dual_span", False, f"{type(e).__name__}: {e}"))
 
     if row.expect1("points") is not None:
         results.append(_point_count(row, minors_ideal(k_matrix(row.relations)))[1])
@@ -349,7 +311,7 @@ def rehomogenization_span_identity(search: Degree1Search) -> bool:
     compare quadratic spans."""
     preferred = search.preferred()
     if not preferred or not preferred[0].central:
-        raise ValueError("no central regular degree-1 element")
+        raise NoCentralCertificate("no central regular degree-1 element")
     dual = search.algebra
     amb = dual.ambient
     spec = amb.spec
@@ -582,19 +544,14 @@ def verify_pencil_row(row: TableRow) -> list[CheckResult]:
     if not want_strong:
         return results
     results.append(_res(row, "model_frobenius", is_frobenius(E)))
-    try:
+    with _guard(row, "class", results):
         got = classify(E)
         _class_matches(row, got, results)
-    except Exception as e:
-        results.append(_res(row, "class", False, f"{type(e).__name__}: {e}"))
-        return results
-    # criterion: classify(delta(nabla(E))) == classify(E)
-    try:
-        conic = nabla(S, F, verdict=verdict)
-        back = classify(delta(conic).algebra)
-        results.append(_res(row, "delta_nabla_roundtrip", back == got, f"{back} vs {got}"))
-    except Exception as e:
-        results.append(_res(row, "delta_nabla_roundtrip", False, f"{type(e).__name__}: {e}"))
+        # criterion: classify(delta(nabla(E))) == classify(E); skipped when classify raises
+        with _guard(row, "delta_nabla_roundtrip", results):
+            conic = nabla(S, F, verdict=verdict)
+            back = classify(delta(conic).algebra)
+            results.append(_res(row, "delta_nabla_roundtrip", back == got, f"{back} vs {got}"))
     return results
 
 
@@ -606,14 +563,11 @@ def verify_conic_class_row(row: TableRow) -> list[CheckResult]:
     results.append(_res(row, "hilbert_A", A.dims[:5] == H_A[:5], f"{A.dims[:5]}"))
     S_pres = Presentation(amb, row.relations[:-1])
     f = row.relations[-1]
-    try:
+    with _guard(row, "C_map", results):
         res = compute_C(A, split=(S_pres, f))
         frob = is_frobenius(res.algebra) and res.algebra.dim == 4
         results.append(_res(row, "C_frobenius_dim4", frob))
-        got = classify(res.algebra)
-        _class_matches(row, got, results)
-    except Exception as e:
-        results.append(_res(row, "C_map", False, f"{type(e).__name__}: {e}"))
+        _class_matches(row, classify(res.algebra), results)
     return results
 
 
@@ -661,18 +615,21 @@ VERIFIERS = {
     "3": verify_center_row,
     "4": verify_geometry_row,
     "ident": verify_identification_row,
+    **dict.fromkeys(CONIC_TABLES, verify_conic_row),
 }
 
 
 def verify_row(row: TableRow) -> list[CheckResult]:
     if row.skip and row.kind != "missing":
         return [CheckResult(row.table, row.label, "row", "SKIP", row.skip)]
-    if row.table in CONIC_TABLES:
-        return verify_conic_row(row)
     fn = VERIFIERS.get(row.table)
     if fn is None:
         return [CheckResult(row.table, row.label, "row", "FAIL", f"unknown table {row.table}")]
-    return fn(row)
+    results: list[CheckResult] = []
+    # a row whose verifier raises outside a check guard reports the row alone
+    with _guard(row, "row", results):
+        results.extend(fn(row))
+    return results
 
 
 def verify(table: str | None = None, row: str | None = None, out=None) -> Report:
@@ -686,19 +643,13 @@ def verify(table: str | None = None, row: str | None = None, out=None) -> Report
     rows.sort(key=lambda r: (_table_sort_key(r.table), r.label))
     results: list[CheckResult] = []
     for r in rows:
-        try:
-            rr = verify_row(r)
-        except Exception as e:
-            rr = [CheckResult(r.table, r.label, "row", "FAIL", f"{type(e).__name__}: {e}")]
+        rr = verify_row(r)
         results.extend(rr)
         if out is not None:
             for c in rr:
                 out.write(c.line() + "\n")
-    rep = Report(results)
     if out is not None:
-        n_pass = sum(1 for c in results if c.status == "PASS")
-        n_fail = sum(1 for c in results if c.status == "FAIL")
-        n_skip = sum(1 for c in results if c.status == "SKIP")
-        n_note = sum(1 for c in results if c.status == "NOTE")
-        out.write(f"summary: {n_pass} pass, {n_fail} fail, {n_skip} skip, {n_note} note\n")
-    return rep
+        n = Counter(c.status for c in results)
+        errors = f", {n['ERROR']} error" if n["ERROR"] else ""
+        out.write(f"summary: {n['PASS']} pass, {n['FAIL']} fail, {n['SKIP']} skip, {n['NOTE']} note{errors}\n")
+    return Report(results)

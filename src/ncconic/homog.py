@@ -26,6 +26,7 @@ from .galgebra import (
     build,
     is_regular_normal_sequence,
 )
+from .geometry import check_quadratic
 from .linalg import coords_in_basis, rank
 from .scalars import Scalar
 
@@ -136,10 +137,9 @@ def twist_presentation(S: Presentation, sigma: list[list[Scalar]]) -> Presentati
     spec = amb.spec
     if rank(sigma, spec) != amb.n:
         raise SingularMatrix("twisting matrix is singular")
+    check_quadratic(S.relations)
     out = []
     for r in S.relations:
-        if r.degree() != 2 or not r.is_homogeneous():
-            raise ValueError("twisting implemented for quadratic presentations")
         acc = NcPoly.zero(amb)
         for (i, j), c in r.terms.items():
             si = NcPoly(amb, {(k,): sigma[i][k] for k in range(amb.n) if not sigma[i][k].is_zero()})

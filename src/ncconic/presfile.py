@@ -6,7 +6,8 @@ Grammar (one directive per line):
     gens:  ident+
     rel:   polyexpr        (repeatable)
     elem:  polyexpr        (repeatable)
-    expect_<key>: text     (repeatable; consumed by the table dataset)
+    expect_<key>: text     (repeatable; the table rows' expected values, read by
+                            the dataset checks)
     label: text
     # comment
 
@@ -34,11 +35,11 @@ class PresSyntaxError(Exception):
 
 @dataclass
 class PresentationFile:
-    spec: FieldSpec
-    ambient: Ambient
+    spec: FieldSpec | None = None
+    ambient: Ambient | None = None
     relations: list[NcPoly] = field(default_factory=list)
     elems: list[NcPoly] = field(default_factory=list)
-    expects: list[tuple[str, str]] = field(default_factory=list)
+    expects: dict[str, list[str]] = field(default_factory=dict)  # expect_<key> values by key
     label: str = ""
 
 
@@ -209,12 +210,8 @@ def parse_poly(text: str, ambient: Ambient, line: int = 1) -> NcPoly:
     return _ExprParser(_Lexer(text, line), ambient).parse()
 
 
-def parse(text: str) -> PresentationFile:
-    spec: FieldSpec | None = None
-    ambient: Ambient | None = None
-    out: PresentationFile | None = None
-    pending: list[tuple[str, str, int]] = []
-    label = ""
+def directives(text: str):
+    """(line number, key, value) for each directive line of text."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -222,38 +219,48 @@ def parse(text: str) -> PresentationFile:
         if ":" not in line:
             raise PresSyntaxError(ln, 1, "'key: value'")
         key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key == "field":
-            spec = parse_field(value, ln)
-        elif key == "gens":
-            names = tuple(value.split())
-            if not names:
-                raise PresSyntaxError(ln, 1, "at least one generator")
-            if len(set(names)) != len(names):
-                raise PresSyntaxError(ln, 1, "distinct generator names")
-            if spec is None:
-                raise PresSyntaxError(ln, 1, "field before gens")
-            ambient = Ambient(names, spec)
-            out = PresentationFile(spec, ambient, label=label)
-        elif key == "label":
-            label = value
-            if out is not None:
-                out.label = value
-        elif key in ("rel", "elem"):
-            if out is None or ambient is None:
-                raise PresSyntaxError(ln, 1, "gens before rel/elem")
-            p = parse_poly(value, ambient, ln)
-            (out.relations if key == "rel" else out.elems).append(p)
-        elif key.startswith("expect_") or key == "expect":
-            if out is None:
-                raise PresSyntaxError(ln, 1, "gens before expect")
-            out.expects.append((key, value))
-        else:
+        yield ln, key.strip(), value.strip()
+
+
+def directive_poly(pf: PresentationFile, ln: int, key: str, value: str) -> NcPoly:
+    """The polynomial value of a key directive, in pf's generators."""
+    if pf.ambient is None:
+        raise PresSyntaxError(ln, 1, f"gens before {key}")
+    return parse_poly(value, pf.ambient, ln)
+
+
+def read_directive(pf: PresentationFile, ln: int, key: str, value: str) -> bool:
+    """Apply one presentation directive to pf; False if key is not one."""
+    if key == "field":
+        pf.spec = parse_field(value, ln)
+    elif key == "gens":
+        names = tuple(value.split())
+        if not names:
+            raise PresSyntaxError(ln, 1, "at least one generator")
+        if len(set(names)) != len(names):
+            raise PresSyntaxError(ln, 1, "distinct generator names")
+        if pf.spec is None:
+            raise PresSyntaxError(ln, 1, "field before gens")
+        pf.ambient = Ambient(names, pf.spec)
+    elif key == "label":
+        pf.label = value
+    elif key in ("rel", "elem"):
+        (pf.relations if key == "rel" else pf.elems).append(directive_poly(pf, ln, key, value))
+    elif key.startswith("expect_"):
+        pf.expects.setdefault(key[len("expect_") :], []).append(value)
+    else:
+        return False
+    return True
+
+
+def parse(text: str) -> PresentationFile:
+    pf = PresentationFile()
+    for ln, key, value in directives(text):
+        if not read_directive(pf, ln, key, value):
             raise PresSyntaxError(ln, 1, f"a known directive (got '{key}')")
-    if out is None:
+    if pf.ambient is None:
         raise PresSyntaxError(1, 1, "field and gens directives")
-    return out
+    return pf
 
 
 def print_poly(p: NcPoly) -> str:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .freealg import Ambient, MonomialOrder, NcPoly
 from .galgebra import GradedAlgebra, Presentation
+from .geometry import check_quadratic
 from .linalg import Rows, in_span, is_zero_vector, kernel_basis, reduce_by_echelon, rref
 from .scalars import Scalar, zero
 
@@ -22,12 +23,10 @@ class NotCodimensionOne(Exception):
 
 def quad_vector(f: NcPoly) -> list[Scalar]:
     """Coefficient row of a purely quadratic polynomial in the x_i x_j basis."""
+    check_quadratic([f])
     n = f.ambient.n
     v = [zero(f.ambient.spec)] * (n * n)
-    for w, c in f.terms.items():
-        if len(w) != 2:
-            raise ValueError(f"{f} is not purely quadratic")
-        i, j = w
+    for (i, j), c in f.terms.items():
         v[i * n + j] = c
     return v
 
@@ -55,9 +54,7 @@ class QuadraticPresentation:
     presentation: Presentation
 
     def __post_init__(self):
-        for r in self.presentation.relations:
-            if r.degree() != 2 or not r.is_homogeneous():
-                raise ValueError(f"relation {r} is not of degree exactly 2")
+        check_quadratic(self.presentation.relations)
         spec = self.ambient.spec
         rows = [quad_vector(r) for r in self.presentation.relations]
         red, _ = rref(rows, spec)
@@ -115,10 +112,8 @@ def dual_element(S: QuadraticPresentation, f: NcPoly) -> NcPoly:
     raise NotCodimensionOne("the dual relation space of S lies inside that of S + f")
 
 
-def koszul_series_check(A: GradedAlgebra, dual: GradedAlgebra, D: int | None = None) -> bool:
+def koszul_series_check(A: GradedAlgebra, dual: GradedAlgebra, D: int) -> bool:
     """Coefficientwise H_{A^!}(t) * H_A(-t) = 1 up to degree D."""
-    if D is None:
-        D = min(A.truncation, dual.truncation)
     ha = A.dims
     hd = dual.dims
     if len(ha) <= D or len(hd) <= D:

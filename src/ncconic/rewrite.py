@@ -247,7 +247,10 @@ def normal_form(rs: RewriteSystem, f: NcPoly) -> NcPoly:
 
 
 def graded_basis(rs: RewriteSystem, d: int) -> list[Word]:
-    """All degree-d words with no lead as subword, ascending in the order."""
+    """All degree-d words with no lead as subword, ascending in the order;
+    none for d < 0."""
+    if d < 0:
+        return []
     if d > rs.confluent_up_to:
         raise DegreeExceedsTruncation(f"degree {d} exceeds {rs.confluent_up_to}")
     n = rs.ambient.n

@@ -2,7 +2,10 @@ import io
 import sys
 from collections import Counter
 
-from ncconic import dataset, elements, findim, geometry, homog, linalg, rewrite
+import pytest
+
+from ncconic import cli, cmap, dataset, elements, findim, geometry, homog, linalg, rewrite
+from ncconic.presfile import PresSyntaxError
 
 EXPECTED_ROWS = {
     "1": 10,
@@ -131,3 +134,68 @@ def test_transcendental_coordinate_skips_krylov(monkeypatch):
     row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("11", "I3"))
     assert all(r.status == "PASS" for r in dataset.verify_row(row))
     assert len(min_polys) == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("row: R\ntable: 5\nfield: Q\nrel: x^2\ngens: x\n", 4),
+        ("row: R\ntable: 5\ngens: x y\nfield: Q\n", 3),
+        ("row: R\n# comment\nfield: Q\ngens: x x\n", 4),
+        ("row: R\nfield: Q\ngens: x\nwitness: 1, x\n", 4),
+    ],
+    ids=["rel before gens", "gens before field", "repeated generator", "non-scalar witness"],
+)
+def test_malformed_rows_are_syntax_errors(text, line):
+    with pytest.raises(PresSyntaxError) as e:
+        dataset.parse_rows(text)
+    assert e.value.line == line
+
+
+def _a2_with_compute_c_raising(monkeypatch, exc: Exception):
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(dataset, "compute_C", raising)
+    return next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
+
+
+def test_a_defect_in_a_check_is_an_error(monkeypatch):
+    row = _a2_with_compute_c_raising(monkeypatch, TypeError("injected"))
+    lines = [c.line() for c in dataset.verify_row(row)]
+    assert "ERROR [5/A2] C_map: TypeError: injected" in lines
+    # the checks before and after the guarded one still run
+    assert "PASS [5/A2] hilbert_A: [1, 3, 5, 7, 9, 11, 13]" in lines
+    assert "PASS [5/A2] rehomogenize_dual_span" in lines
+    buf = io.StringIO()
+    rep = dataset.verify(table="5", row="A2", out=buf)
+    assert not rep.ok
+    assert buf.getvalue().splitlines()[-1].endswith(" 0 fail, 0 skip, 0 note, 1 error")
+    assert cli.main(["verify", "--table", "5", "--row", "A2"], out=io.StringIO()) == 1
+
+
+def test_a_library_exception_in_a_check_is_a_failure(monkeypatch):
+    row = _a2_with_compute_c_raising(monkeypatch, cmap.NoRegularCertificate("injected"))
+    statuses = {c.check: c.status for c in dataset.verify_row(row)}
+    assert statuses["C_map"] == "FAIL"
+    assert "ERROR" not in statuses.values()
+
+
+def test_the_roundtrip_is_skipped_when_classify_raises(monkeypatch):
+    def raising(E):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(dataset, "classify", raising)
+    row = next(r for r in dataset.load_rows() if r.table == "2")
+    checks = [(c.check, c.status) for c in dataset.verify_row(row)]
+    assert checks[-1] == ("class", "ERROR")
+    assert "delta_nabla_roundtrip" not in dict(checks)
+
+
+def test_a_defect_outside_any_check_reports_the_row(monkeypatch):
+    def raising(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(dataset, "build", raising)
+    row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
+    assert [c.line() for c in dataset.verify_row(row)] == ["ERROR [5/A2] row: TypeError: injected"]

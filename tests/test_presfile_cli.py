@@ -48,6 +48,14 @@ def test_parse_error_positions():
         parse("field: Q\ngens: x y\nrel: i*x\n")  # i needs Q(i)
 
 
+def test_expect_directives_are_keyed_without_the_prefix():
+    pf = parse("field: Q\ngens: x\nexpect_class: F1\nexpect_dual: x^2\nexpect_dual: 0\n")
+    assert pf.expects == {"class": ["F1"], "dual": ["x^2", "0"]}
+    with pytest.raises(PresSyntaxError) as e:
+        parse("field: Q\ngens: x\nexpect: F1\n")
+    assert e.value.line == 3
+
+
 def test_multi_letter_identifiers_are_single_names():
     pf = parse("field: Q\ngens: yx y x\nrel: yx - y*x\n")
     r = pf.relations[0]
@@ -243,6 +251,9 @@ def test_cli_pointscheme_three_relations(tmp_path):
         "normal1 with a cubic relation",
         "normal1 with dim A_2 = 7",
         "cmap with dual dim A_2 = 2",
+        "basis with a negative degree",
+        "center with a negative degree",
+        "normal1 with max-deg 2",
     ],
 )
 def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
@@ -292,6 +303,18 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
         "cmap with dual dim A_2 = 2": (
             ["cmap", str(tmp_path / "two.alg")],
             "usage error: degree-1 search needs dim A_2 = 4 (got 2)",
+        ),
+        "basis with a negative degree": (
+            ["basis", f1_file, "--deg", "-1"],
+            "usage error: degree must be an integer >= 0 (got '-1')",
+        ),
+        "center with a negative degree": (
+            ["center", f1_file, "--deg", "-1"],
+            "usage error: degree must be an integer >= 0 (got '-1')",
+        ),
+        "normal1 with max-deg 2": (
+            ["normal1", f1_file, "--max-deg", "2"],
+            "usage error: truncation must be at least 3",
         ),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")

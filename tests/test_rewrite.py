@@ -68,6 +68,11 @@ def test_truncation_errors():
         graded_basis(rs, 4)
 
 
+def test_negative_degree_has_no_words():
+    # the degree-d part is 0 for d < 0; the word search must not recurse
+    assert graded_basis(t1_system(D=3), -1) == []
+
+
 def test_normal_form_examples():
     rs = t1_system()
     # zy^2 at alpha=beta=0, gamma=1 reduces to y^2 z + 2 x y^2

@@ -8,6 +8,9 @@
 - No module in src/, scripts/ or tests/ imports a name it never uses.
 - Within the package only geometry imports sympy, and only inside functions:
   importing the package does not import sympy.
+- Only two places catch every exception: the check guard of the table
+  verifier (dataset._guard), which tells a defect from a failed check, and
+  the CLI's last resort (cli.main).
 """
 
 import ast
@@ -130,3 +133,26 @@ def test_only_geometry_imports_sympy():
                 at_import.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert importers == {"geometry"}, importers
     assert not at_import, f"sympy imported at module import time: {at_import}"
+
+
+def _broad_handlers(node: ast.AST, where: str):
+    """where (module.function) for each handler under node that catches
+    Exception, BaseException or everything."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{where.split('.')[0]}.{child.name}"
+        if isinstance(child, ast.ExceptHandler):
+            caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")) for t in caught):
+                yield f"{inner}:{child.lineno}"
+        yield from _broad_handlers(child, inner)
+
+
+def test_only_the_guard_and_the_cli_catch_every_exception():
+    found = [
+        site
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _broad_handlers(_parse(path), path.stem)
+    ]
+    assert sorted(site.split(":")[0] for site in found) == ["cli.main", "dataset._guard"], found
