@@ -60,8 +60,7 @@ class UsageError(Exception):
 
 
 def _at_least(low: int, what: str, text: str) -> int:
-    """text as an integer of at least low.  Raises UsageError, which argparse
-    passes through, for a one-line message."""
+    """text as an integer >= low, or a UsageError, which argparse passes through."""
     try:
         d = int(text)
     except ValueError:

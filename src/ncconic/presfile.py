@@ -6,8 +6,7 @@ Grammar (one directive per line):
     gens:  ident+
     rel:   polyexpr        (repeatable)
     elem:  polyexpr        (repeatable)
-    expect_<key>: text     (repeatable; the table rows' expected values, read by
-                            the dataset checks)
+    expect_<key>: text     (repeatable; read by the table rows' checks)
     label: text
     # comment
 
@@ -241,6 +240,8 @@ def read_directive(pf: PresentationFile, ln: int, key: str, value: str) -> bool:
             raise PresSyntaxError(ln, 1, "distinct generator names")
         if pf.spec is None:
             raise PresSyntaxError(ln, 1, "field before gens")
+        if pf.ambient is not None:
+            raise PresSyntaxError(ln, 1, "one gens directive")
         pf.ambient = Ambient(names, pf.spec)
     elif key == "label":
         pf.label = value

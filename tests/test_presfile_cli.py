@@ -46,6 +46,9 @@ def test_parse_error_positions():
         parse("field: What\ngens: x\n")
     with pytest.raises(PresSyntaxError):
         parse("field: Q\ngens: x y\nrel: i*x\n")  # i needs Q(i)
+    with pytest.raises(PresSyntaxError) as e:
+        parse("field: Q\ngens: x\nrel: x^2\ngens: y z\n")  # relations in two ambients
+    assert e.value.line == 4
 
 
 def test_expect_directives_are_keyed_without_the_prefix():
