@@ -23,7 +23,7 @@ from .elements import (
     regularity_check,
 )
 from .findim import FiniteAlgebra, classify, from_presentation, is_frobenius
-from .freealg import NcPoly
+from .freealg import NcPoly, _format_word
 from .galgebra import GradedAlgebra, Presentation, build
 from .geometry import (
     NotQuadratic,
@@ -47,7 +47,7 @@ from .presfile import (
     print_poly,
     print_presentation,
 )
-from .quadratic import QuadraticPresentation, quadratic_dual
+from .quadratic import quadratic_dual
 from .rewrite import DegreeExceedsTruncation
 
 
@@ -119,17 +119,14 @@ def cmd_hilbert(args, out) -> int:
 def cmd_basis(args, out) -> int:
     A = _build(_load(args.file), max(args.deg, 2))
     words = A.basis(args.deg)
-    from .freealg import _format_word
-
     out.write("\n".join(_format_word(A.ambient, w) for w in words) + "\n")
     return 0
 
 
 def cmd_dual(args, out) -> int:
     pf = _load_quadratic(args.file, "dual")
-    q = QuadraticPresentation(Presentation(pf.ambient, pf.relations, pf.label))
-    d = quadratic_dual(q)
-    out.write(print_presentation(PresentationFile(pf.spec, pf.ambient, d.presentation.relations)))
+    d = quadratic_dual(Presentation(pf.ambient, pf.relations, pf.label))
+    out.write(print_presentation(PresentationFile(pf.spec, pf.ambient, d.relations)))
     return 0
 
 

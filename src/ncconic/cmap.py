@@ -29,7 +29,7 @@ from .homog import (
     is_strongly_regular_normal,
     localized_zero_part,
 )
-from .quadratic import QuadraticPresentation, dual_element, quadratic_dual
+from .quadratic import dual_element, quadratic_dual
 
 
 class NoRegularCertificate(Exception):
@@ -45,8 +45,7 @@ class NotStronglyRegular(Exception):
 
 
 def dual_of(A: GradedAlgebra) -> GradedAlgebra:
-    q = QuadraticPresentation(A.presentation)
-    return build(quadratic_dual(q).presentation, max(4, A.rs.truncation), A.rs.order)
+    return build(quadratic_dual(A.presentation), max(4, A.rs.truncation), A.rs.order)
 
 
 @dataclass
@@ -78,7 +77,7 @@ def compute_C(
         cert = preferred[0]
         return CResult(dehomogenize_algebra(dual, cert), f"dehomogenize({cert.w})", cert)
     S_pres, f = split
-    fd = dual_element(QuadraticPresentation(S_pres), f)
+    fd = dual_element(S_pres, f)
     c2 = normalize_check(dual, fd)
     if c2 is None:
         raise NoRegularCertificate(f"dual element {fd} is not normal in the dual")
@@ -107,17 +106,10 @@ def nabla(
             f"homogenized: {verdict.homogenized_sequence.all_regular_normal}"
         )
     hz = homogenize_presentation(S.presentation, F)
-    q = QuadraticPresentation(hz)
-    return build(quadratic_dual(q).presentation, D)
+    return build(quadratic_dual(hz), D)
 
 
-@dataclass
-class DeltaResult:
-    algebra: FiniteAlgebra
-    certificate: NormalCertificate
-
-
-def delta(A: GradedAlgebra) -> DeltaResult:
+def delta(A: GradedAlgebra) -> CResult:
     """D_z(A^!) at a central regular degree-1 element of the dual."""
     search = find_normal_degree1(dual_of(A))
     preferred = search.preferred()
@@ -127,4 +119,4 @@ def delta(A: GradedAlgebra) -> DeltaResult:
             f"residue={search.residue})"
         )
     cert = preferred[0]
-    return DeltaResult(dehomogenize_algebra(search.algebra, cert), cert)
+    return CResult(dehomogenize_algebra(search.algebra, cert), f"dehomogenize({cert.w})", cert)

@@ -62,6 +62,10 @@ class NoMatchingRows(Exception):
     pass
 
 
+class BadRowData(Exception):
+    """A row expectation the verifier cannot read; its check reads FAIL."""
+
+
 CONIC_TABLES = {"5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15"}
 
 
@@ -355,7 +359,7 @@ def _line_parametrization(ell: NcPoly, amb: Ambient) -> list[CommPoly]:
     n = amb.n
     ker = kernel_basis([quad1_vector(ell)], n, spec)
     if len(ker) != 2:
-        raise ValueError(f"{ell} = 0 is not a line in the projective plane")
+        raise BadRowData(f"{ell} = 0 is not a line in the projective plane")
     s = CommPoly.var(2, 0, spec)
     t = CommPoly.var(2, 1, spec)
     out = []
@@ -371,7 +375,7 @@ def _conic_parametrization(q: NcPoly, amb: Ambient) -> list[CommPoly] | None:
     # symmetric bilinear form of the quadratic q
     Bm = [[zero(spec)] * n for _ in range(n)]
     for (i, j), c in q.terms.items():
-        half = c * Scalar.of(1, spec) / Scalar.of(2, spec)
+        half = c / Scalar.of(2, spec)
         Bm[i][j] = Bm[i][j] + half
         Bm[j][i] = Bm[j][i] + half
 
@@ -426,38 +430,40 @@ def verify_geometry_row(row: TableRow) -> list[CheckResult]:
         # positive-dimensional rows: minors vanish on each claimed component
         for comp in comps:
             kind, _, expr = comp.partition(" ")
-            g = parse_poly(expr, amb)
-            if kind == "line":
-                par = _line_parametrization(g, amb)
-            else:
-                par = _conic_parametrization(g, amb)
+            check = f"component({expr})"
+            par = None
+            with _guard(row, check, results):
+                g = parse_poly(expr, amb)
+                par = (_line_parametrization if kind == "line" else _conic_parametrization)(g, amb)
                 if par is None:
-                    results.append(_res(row, f"component({expr})", False, "no rational point found"))
-                    continue
-            ok = all(m.substitute(par).is_zero() for m in M)
-            results.append(_res(row, f"component({expr})", ok))
+                    results.append(_res(row, check, False, "no rational point found"))
+                else:
+                    results.append(_res(row, check, all(m.substitute(par).is_zero() for m in M)))
+            if par is None:
+                continue
             # sigma on 5 sample points of the component
             want_sigma = row.expect1("sigma_line") or "identity"
-            samples = []
-            for sv, tv in [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]:
-                pt = tuple(
-                    c.evaluate([Scalar.of(sv, spec), Scalar.of(tv, spec)]) for c in par
-                )
-                if any(not c.is_zero() for c in pt):
-                    samples.append(normalize_point(pt))
-            ok_sigma = True
-            detail = ""
-            for p in samples:
-                q = sigma_at(row.relations, p)
-                if q is None:
-                    ok_sigma = False
-                    detail = f"indeterminate at {p}"
-                    break
-                if not _sigma_form_matches(want_sigma, p, q, amb):
-                    ok_sigma = False
-                    detail = f"{tuple(str(c) for c in p)} -> {tuple(str(c) for c in q)}"
-                    break
-            results.append(_res(row, f"sigma_{want_sigma}", ok_sigma, detail))
+            with _guard(row, f"sigma_{want_sigma}", results):
+                samples = []
+                for sv, tv in [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]:
+                    pt = tuple(
+                        c.evaluate([Scalar.of(sv, spec), Scalar.of(tv, spec)]) for c in par
+                    )
+                    if any(not c.is_zero() for c in pt):
+                        samples.append(normalize_point(pt))
+                ok_sigma = True
+                detail = ""
+                for p in samples:
+                    q = sigma_at(row.relations, p)
+                    if q is None:
+                        ok_sigma = False
+                        detail = f"indeterminate at {p}"
+                        break
+                    if not _sigma_form_matches(want_sigma, p, q, amb):
+                        ok_sigma = False
+                        detail = f"{tuple(str(c) for c in p)} -> {tuple(str(c) for c in q)}"
+                        break
+                results.append(_res(row, f"sigma_{want_sigma}", ok_sigma, detail))
         return results
 
     res, check = _point_count(row, M)
@@ -523,7 +529,7 @@ def _sigma_form_matches(form: str, p, q, amb: Ambient) -> bool:
     if form == "shear":
         expect = normalize_point((p[0], p[1], p[1] + p[2]))
         return q == expect
-    raise ValueError(f"unknown sigma form {form}")
+    raise BadRowData(f"unknown sigma form {form}")
 
 
 def verify_pencil_row(row: TableRow) -> list[CheckResult]:

@@ -221,22 +221,14 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
     # coords of x_k x_j in A_2, reused for both product orders
     prod = [[A.coords(gens[k] * gens[j], 2) for j in range(n)] for k in range(n)]
 
-    def lin_entry(vals: list[Scalar]) -> CommPoly:
-        # sum_k vals[k] * a_k as a CommPoly in (a0, a1, a2)
-        terms = {}
-        for k, c in enumerate(vals):
-            if not c.is_zero():
-                m = [0, 0, 0]
-                m[k] = 1
-                terms[tuple(m)] = c
-        return CommPoly(3, spec, terms)
-
-    # columns: w x_j and x_i w, entries linear in a
+    # columns: w x_j and x_i w, entries sum_k c_k a_k linear in a = (a0, a1, a2)
     right_cols = [
-        [lin_entry([prod[k][j][r] for k in range(n)]) for r in range(dim2)] for j in range(n)
+        [CommPoly.linear([prod[k][j][r] for k in range(n)], spec) for r in range(dim2)]
+        for j in range(n)
     ]
     left_cols = [
-        [lin_entry([prod[i][k][r] for k in range(n)]) for r in range(dim2)] for i in range(n)
+        [CommPoly.linear([prod[i][k][r] for k in range(n)], spec) for r in range(dim2)]
+        for i in range(n)
     ]
 
     # normality forces span{w x_j} = span{x_i w}, so the combined 4x6 matrix
@@ -264,10 +256,10 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
     ]
 
     def mult_det(table) -> CommPoly:
-        cols = []
-        for bi in range(len(basis2)):
-            col = [lin_entry([table[bi][k][r] for k in range(n)]) for r in range(dim3)]
-            cols.append(col)
+        cols = [
+            [CommPoly.linear([table[bi][k][r] for k in range(n)], spec) for r in range(dim3)]
+            for bi in range(len(basis2))
+        ]
         return pool_minors(cols, [tuple(range(4))])[0]
 
     det_right = mult_det(gens3)  # b2 -> b2 * w

@@ -137,7 +137,10 @@ class FiniteAlgebra:
 # -- construction from an inhomogeneous presentation -----------------------------
 
 
-def from_presentation(relations: list[NcPoly], bound: int = 8) -> FiniteAlgebra:
+FINITE_BOUND = 8  # the longest completion horizon from_presentation tries
+
+
+def from_presentation(relations: list[NcPoly]) -> FiniteAlgebra:
     """Finite-dimensional quotient of a free algebra at desk scale: complete
     the relations to a rewrite system with subword reduction (overlap closure
     bounded by the word-length horizon), read off the reduced words, and take
@@ -151,7 +154,7 @@ def from_presentation(relations: list[NcPoly], bound: int = 8) -> FiniteAlgebra:
     maxdeg = max(r.degree() for r in relations)
     spec = amb.spec
     last_err = "no horizon tried"
-    for L in range(max(2 * maxdeg, 4), bound + 1):
+    for L in range(max(2 * maxdeg, 4), FINITE_BOUND + 1):
         rs = complete(relations, L, allow_inhomogeneous=True)
         if rs.confluent_up_to < L:
             last_err = f"completion overflowed horizon {L}"
@@ -183,7 +186,7 @@ def from_presentation(relations: list[NcPoly], bound: int = 8) -> FiniteAlgebra:
         unit[index[()]] = one(spec)
         labels = [_format_word(amb, w) for w in basis]
         return FiniteAlgebra(spec, labels, table, unit)
-    raise NotFiniteDimensionalWithinBound(f"{last_err} (bound {bound})")
+    raise NotFiniteDimensionalWithinBound(f"{last_err} (bound {FINITE_BOUND})")
 
 
 # -- Frobenius form existence ------------------------------------------------------
@@ -205,18 +208,7 @@ def _frobenius_form(A: FiniteAlgebra) -> bool:
         raise ValueError("is_frobenius implemented for dim <= 8")
     spec = A.spec
     # entries G[a][b] = sum_c table[a][b][c] * phi_c, linear CommPolys in phi
-    entries = []
-    for a in range(N):
-        row = []
-        for b in range(N):
-            terms = {}
-            for c, t in enumerate(A.table[a][b]):
-                if not t.is_zero():
-                    m = [0] * N
-                    m[c] = 1
-                    terms[tuple(m)] = t
-            row.append(CommPoly(N, spec, terms))
-        entries.append(row)
+    entries = [[CommPoly.linear(A.table[a][b], spec) for b in range(N)] for a in range(N)]
     det = pool_minors(entries, [tuple(range(N))])[0]  # det of the transpose
     return not det.is_zero()
 
@@ -227,7 +219,6 @@ def _frobenius_form(A: FiniteAlgebra) -> bool:
 @dataclass
 class AlgebraInvariants:
     commutative: bool
-    center_dim: int
     radical_dims: tuple[int, int, int]  # dims of J, J^2, J^3
     block_dims: list[int]  # dims of the blocks of A/J (sorted)
     blocks_split: bool  # False when idempotent splitting hit a field obstruction
@@ -350,7 +341,6 @@ def invariants(A: FiniteAlgebra) -> AlgebraInvariants:
         block_dims.append(rank(prods, spec))
     return AlgebraInvariants(
         commutative=A.is_commutative(),
-        center_dim=len(center_basis(A)),
         radical_dims=(len(J), len(J2), len(J3)),
         block_dims=sorted(block_dims),
         blocks_split=split,

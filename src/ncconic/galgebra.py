@@ -6,7 +6,7 @@ A/(f) extends A's rules by f (rewrite.extend, Bergman's diamond lemma)
 instead of completing its presentation from scratch.  hilbert_drop
 is the one regularity test for normal elements, the coefficientwise identity
 H_{A/(f)} = (1 - t^d) * H_A up to the truncation degree; the
-regular-normal-sequence test applies it element by element.
+regular-normal-sequence test in homog applies it element by element.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from .freealg import Ambient, MonomialOrder, NcPoly, Word
 from .linalg import Vector
 from .rewrite import RewriteSystem, complete, extend, graded_basis, normal_form
 from .scalars import zero
-
-
-class InconclusiveTruncation(Exception):
-    pass
 
 
 @dataclass
@@ -143,59 +139,3 @@ def hilbert_drop(A: GradedAlgebra, f: NcPoly) -> HilbertDrop:
     actual = quo.dims[: D + 1]
     mismatch = next((m for m in range(D + 1) if expected[m] != actual[m]), None)
     return HilbertDrop(quo, expected, actual, mismatch)
-
-
-@dataclass
-class ElementVerdict:
-    element: NcPoly
-    degree: int
-    normal: bool
-    regular: bool
-    expected_prefix: list[int]
-    actual_prefix: list[int]
-    first_mismatch: int | None
-
-
-@dataclass
-class SequenceVerdict:
-    per_element: list[ElementVerdict]
-    checked_to: int
-
-    @property
-    def all_regular_normal(self) -> bool:
-        return all(v.normal and v.regular for v in self.per_element)
-
-
-def is_regular_normal_sequence(S: GradedAlgebra, elems: list[NcPoly]) -> SequenceVerdict:
-    """Stepwise Hilbert test: element i is regular in S/(f_1..f_{i-1}) iff the
-    quotient prefix drops by exactly (1 - t^{d_i}); normality of each image is
-    certified first, as the Hilbert criterion applies to normal elements."""
-    from .elements import normalize_check  # cycle: elements builds on galgebra
-
-    D = S.truncation
-    degrees = [f.degree() for f in elems]
-    if any(d < 1 for d in degrees):
-        raise ValueError("sequence elements must have degree >= 1")
-    if D < max(degrees) + 1:
-        raise InconclusiveTruncation(f"truncation {D} too small for degrees {degrees}")
-    current = S
-    verdicts = []
-    for f in elems:
-        if not f.is_homogeneous():
-            raise ValueError(f"sequence element {f} is not homogeneous")
-        d = f.degree()
-        img = current.nf(f)
-        if img.is_zero():
-            # 0 is normal but never regular in a nonzero algebra
-            verdicts.append(ElementVerdict(f, d, True, False, [], current.dims, 0))
-            continue
-        cert = normalize_check(current, img)
-        test = hilbert_drop(current, f)
-        mismatch = test.first_mismatch
-        verdicts.append(
-            ElementVerdict(
-                f, d, cert is not None, mismatch is None, test.expected, test.actual, mismatch
-            )
-        )
-        current = test.quotient
-    return SequenceVerdict(verdicts, D)

@@ -87,6 +87,12 @@ class CommPoly:
         return CommPoly(nvars, c.spec, {(0,) * nvars: c})
 
     @staticmethod
+    def linear(coeffs: list[Scalar], spec: FieldSpec) -> "CommPoly":
+        """The linear form sum_k coeffs[k] v_k in len(coeffs) variables."""
+        n = len(coeffs)
+        return CommPoly(n, spec, {tuple(int(i == k) for i in range(n)): c for k, c in enumerate(coeffs)})
+
+    @staticmethod
     def var(nvars: int, i: int, spec: FieldSpec) -> "CommPoly":
         m = [0] * nvars
         m[i] = 1
@@ -620,13 +626,10 @@ def k_matrix(relations: list[NcPoly]) -> list[list[CommPoly]]:
     n = amb.n
     spec = amb.spec
     check_quadratic(relations)
-    K = [[CommPoly.zero(n, spec) for _ in relations] for _ in range(n)]
-    for k, f in enumerate(relations):
-        for (i, j), c in f.terms.items():
-            mono = [0] * n
-            mono[j] = 1
-            K[i][k] = K[i][k] + CommPoly(n, spec, {tuple(mono): c})
-    return K
+    return [
+        [CommPoly.linear([f.terms.get((i, j), zero(spec)) for j in range(n)], spec) for f in relations]
+        for i in range(n)
+    ]
 
 
 def minors_ideal(K: list[list[CommPoly]]) -> list[CommPoly]:

@@ -4,13 +4,17 @@ A RelationSequence stores the chosen free-algebra representatives; all the
 operators here act on those stored representatives, which pins down the
 (choice-dependent) homogenized algebra per dataset row.  The homogenizing
 generator is appended last and is the largest in the monomial order, so the
-added commutator rules push it to the right of every reduced word.
+added commutator rules push it to the right of every reduced word.  The
+regular-normal-sequence test (galgebra.hilbert_drop, element by element)
+lives here with its strong form on S[z], its only caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .elements import normalize_check
+from .findim import FiniteAlgebra
 from .freealg import (
     Ambient,
     NcPoly,
@@ -19,13 +23,7 @@ from .freealg import (
     homogenize_poly,
     wild_homogenize_poly,
 )
-from .galgebra import (
-    GradedAlgebra,
-    Presentation,
-    SequenceVerdict,
-    build,
-    is_regular_normal_sequence,
-)
+from .galgebra import GradedAlgebra, Presentation, build, hilbert_drop
 from .geometry import check_quadratic
 from .linalg import coords_in_basis, rank
 from .scalars import Scalar
@@ -40,6 +38,10 @@ class NotStabilized(Exception):
 
 
 class NotRegularCertificate(Exception):
+    pass
+
+
+class InconclusiveTruncation(Exception):
     pass
 
 
@@ -103,6 +105,60 @@ def homogenize_presentation(S: Presentation, F: RelationSequence, zname: str = "
 
 
 @dataclass
+class ElementVerdict:
+    element: NcPoly
+    degree: int
+    normal: bool
+    regular: bool
+    expected_prefix: list[int]
+    actual_prefix: list[int]
+    first_mismatch: int | None
+
+
+@dataclass
+class SequenceVerdict:
+    per_element: list[ElementVerdict]
+    checked_to: int
+
+    @property
+    def all_regular_normal(self) -> bool:
+        return all(v.normal and v.regular for v in self.per_element)
+
+
+def is_regular_normal_sequence(S: GradedAlgebra, elems: list[NcPoly]) -> SequenceVerdict:
+    """Stepwise Hilbert test: element i is regular in S/(f_1..f_{i-1}) iff the
+    quotient prefix drops by exactly (1 - t^{d_i}); normality of each image is
+    certified first, as the Hilbert criterion applies to normal elements."""
+    D = S.truncation
+    degrees = [f.degree() for f in elems]
+    if any(d < 1 for d in degrees):
+        raise ValueError("sequence elements must have degree >= 1")
+    if D < max(degrees) + 1:
+        raise InconclusiveTruncation(f"truncation {D} too small for degrees {degrees}")
+    current = S
+    verdicts = []
+    for f in elems:
+        if not f.is_homogeneous():
+            raise ValueError(f"sequence element {f} is not homogeneous")
+        d = f.degree()
+        img = current.nf(f)
+        if img.is_zero():
+            # 0 is normal but never regular in a nonzero algebra
+            verdicts.append(ElementVerdict(f, d, True, False, [], current.dims, 0))
+            continue
+        cert = normalize_check(current, img)
+        test = hilbert_drop(current, f)
+        mismatch = test.first_mismatch
+        verdicts.append(
+            ElementVerdict(
+                f, d, cert is not None, mismatch is None, test.expected, test.actual, mismatch
+            )
+        )
+        current = test.quotient
+    return SequenceVerdict(verdicts, D)
+
+
+@dataclass
 class StrongVerdict:
     top_sequence: SequenceVerdict
     homogenized_sequence: SequenceVerdict
@@ -152,8 +208,6 @@ def localized_zero_part(A: GradedAlgebra, cert, i0: int):
     """The algebra {f w^{-i0} : f in A_{d*i0}} with multiplication
     (f w^{-i0})(g w^{-i0}) = f nu^{i0}(g) w^{-2 i0}, re-expressed through the
     bijection m -> m w^{i0}; unit is the class of w^{i0}."""
-    from .findim import FiniteAlgebra
-
     if cert.regular != "yes":
         raise NotRegularCertificate(f"certificate for {cert.w} is {cert.regular}")
     d = cert.degree

@@ -2,8 +2,8 @@
 
 Grammar (one directive per line):
 
-    field: Q | Q(i) | Q(sqrt N)
-    gens:  ident+
+    field: Q | Q(i) | Q(sqrt N)   (before gens)
+    gens:  ident+                 (once)
     rel:   polyexpr        (repeatable)
     elem:  polyexpr        (repeatable)
     expect_<key>: text     (repeatable; read by the table rows' checks)
@@ -231,6 +231,8 @@ def directive_poly(pf: PresentationFile, ln: int, key: str, value: str) -> NcPol
 def read_directive(pf: PresentationFile, ln: int, key: str, value: str) -> bool:
     """Apply one presentation directive to pf; False if key is not one."""
     if key == "field":
+        if pf.ambient is not None:
+            raise PresSyntaxError(ln, 1, "field before gens")
         pf.spec = parse_field(value, ln)
     elif key == "gens":
         names = tuple(value.split())
@@ -265,9 +267,7 @@ def parse(text: str) -> PresentationFile:
 
 
 def print_poly(p: NcPoly) -> str:
-    from .freealg import MonomialOrder
-
-    return p.format(MonomialOrder.default(p.ambient.n))
+    return str(p)
 
 
 def print_presentation(pf: PresentationFile) -> str:

@@ -3,17 +3,19 @@
 The relation space W of a quadratic presentation lives in the n^2-dimensional
 span of the words x_i x_j (lexicographic (i,j) layout); the dual's relation
 space is the orthogonal complement under <x_i x_j, x_k* x_l*> = delta_ik
-delta_jl, with dual generators reusing the input names.
+delta_jl, with dual generators reusing the input names.  quadratic_dual and
+dual_element are functions on a Presentation: they read W from its relations
+(quad_vector applies the quadratic-input rule to each), and dependent or
+repeated relations give the same answer, since the kernels are taken from an
+echelon form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .freealg import Ambient, MonomialOrder, NcPoly
 from .galgebra import GradedAlgebra, Presentation
 from .geometry import check_quadratic
-from .linalg import Rows, in_span, is_zero_vector, kernel_basis, reduce_by_echelon, rref
+from .linalg import in_span, is_zero_vector, kernel_basis, reduce_by_echelon, rref
 from .scalars import Scalar, zero
 
 
@@ -49,54 +51,21 @@ def quad_poly(ambient: Ambient, v: list[Scalar]) -> NcPoly:
     )
 
 
-@dataclass
-class QuadraticPresentation:
-    presentation: Presentation
-
-    def __post_init__(self):
-        check_quadratic(self.presentation.relations)
-        spec = self.ambient.spec
-        rows = [quad_vector(r) for r in self.presentation.relations]
-        red, _ = rref(rows, spec)
-        if len(red) != len(rows):
-            # keep an independent generating set, echelonized
-            self.presentation = Presentation(
-                self.ambient, [quad_poly(self.ambient, v) for v in red], self.presentation.label
-            )
-
-    @property
-    def ambient(self) -> Ambient:
-        return self.presentation.ambient
-
-    def w_rows(self) -> Rows:
-        return [quad_vector(r) for r in self.presentation.relations]
-
-
-def quadratic_dual(q: QuadraticPresentation) -> QuadraticPresentation:
-    amb = q.ambient
-    n = amb.n
-    rows = q.w_rows()
-    if rows:
-        perp = kernel_basis(rows, n * n, amb.spec)
-    else:
-        perp = [
-            [zero(amb.spec)] * k + [Scalar.of(1, amb.spec)] + [zero(amb.spec)] * (n * n - k - 1)
-            for k in range(n * n)
-        ]
-    label = q.presentation.label
+def quadratic_dual(P: Presentation) -> Presentation:
+    amb = P.ambient
+    perp = kernel_basis([quad_vector(r) for r in P.relations], amb.n * amb.n, amb.spec)
+    label = P.label
     dual_label = label[:-1] if label.endswith("!") else (label + "!" if label else "")
-    return QuadraticPresentation(
-        Presentation(amb, [quad_poly(amb, v) for v in perp], dual_label)
-    )
+    return Presentation(amb, [quad_poly(amb, v) for v in perp], dual_label)
 
 
-def dual_element(S: QuadraticPresentation, f: NcPoly) -> NcPoly:
+def dual_element(S: Presentation, f: NcPoly) -> NcPoly:
     """The element f^! with (S+f)^! / (f^!) = S^!, monic, canonical modulo the
     dual's relation space."""
     amb = S.ambient
     spec = amb.spec
+    ws = [quad_vector(r) for r in S.relations]
     fv = quad_vector(f)
-    ws = S.w_rows()
     if in_span(ws, fv, spec):
         raise NotCodimensionOne(f"{f} lies in the span of the relations")
     n = amb.n

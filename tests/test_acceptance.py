@@ -24,7 +24,7 @@ from ncconic.galgebra import Presentation
 from ncconic.geometry import k_matrix, minors_ideal, sigma_at
 from ncconic.linalg import span_equal
 from ncconic.presfile import parse_poly
-from ncconic.quadratic import QuadraticPresentation, quad_vector, quadratic_dual
+from ncconic.quadratic import quad_vector, quadratic_dual
 from ncconic.rewrite import complete, graded_basis, normal_form
 from ncconic.scalars import QQ, Scalar, zero
 
@@ -188,11 +188,11 @@ def test_criterion_9_property_suites(full_report):
     # biduality across all conic rows
     rows = [r for r in dataset.load_rows() if r.table in dataset.CONIC_TABLES and not r.skip]
     for row in rows:
-        q = QuadraticPresentation(Presentation(row.ambient, row.relations))
+        q = Presentation(row.ambient, row.relations)
         dd = quadratic_dual(quadratic_dual(q))
         assert span_equal(
-            [quad_vector(r) for r in dd.presentation.relations],
-            [quad_vector(r) for r in q.presentation.relations],
+            [quad_vector(r) for r in dd.relations],
+            [quad_vector(r) for r in q.relations],
             row.spec,
         )
     print(f"PASS criterion: 9. biduality on all {len(rows)} conic rows")

@@ -14,7 +14,7 @@ from ncconic.galgebra import Presentation, build
 from ncconic.homog import RelationSequence
 from ncconic.linalg import span_equal
 from ncconic.presfile import parse_poly
-from ncconic.quadratic import QuadraticPresentation, dual_element, quad_vector
+from ncconic.quadratic import dual_element, quad_vector
 from ncconic.scalars import FieldSpec, QQ
 
 AMB = Ambient(("x", "y", "z"), QQ)
@@ -67,7 +67,7 @@ def test_dual_element_central_for_central_conics():
     ):
         A, (S, f) = conic(*texts)
         dual = dual_of(A)
-        fd = dual_element(QuadraticPresentation(S), f)
+        fd = dual_element(S, f)
         cert = normalize_check(dual, fd)
         assert cert is not None and cert.central
 

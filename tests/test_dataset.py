@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import sys
 from collections import Counter
@@ -143,8 +144,15 @@ def test_transcendental_coordinate_skips_krylov(monkeypatch):
         ("row: R\ntable: 5\ngens: x y\nfield: Q\n", 3),
         ("row: R\n# comment\nfield: Q\ngens: x x\n", 4),
         ("row: R\nfield: Q\ngens: x\nwitness: 1, x\n", 4),
+        ("row: R\nfield: Q\ngens: x\nfield: Q(i)\n", 4),
     ],
-    ids=["rel before gens", "gens before field", "repeated generator", "non-scalar witness"],
+    ids=[
+        "rel before gens",
+        "gens before field",
+        "repeated generator",
+        "non-scalar witness",
+        "field after gens",
+    ],
 )
 def test_malformed_rows_are_syntax_errors(text, line):
     with pytest.raises(PresSyntaxError) as e:
@@ -199,3 +207,25 @@ def test_a_defect_outside_any_check_reports_the_row(monkeypatch):
     monkeypatch.setattr(dataset, "build", raising)
     row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("5", "A2"))
     assert [c.line() for c in dataset.verify_row(row)] == ["ERROR [5/A2] row: TypeError: injected"]
+
+
+def _geometry_row_expecting(**expects):
+    row = next(r for r in dataset.load_rows() if (r.table, r.label) == ("4", "geo/k[x,y,z]:(x^2)"))
+    return dataclasses.replace(row, expects={**row.expects, **expects})
+
+
+def test_bad_geometry_data_fails_its_check_alone():
+    # an unknown sigma form fails the sigma check; the component line stays
+    row = _geometry_row_expecting(sigma_line=["rotate"])
+    assert [c.line() for c in dataset.verify_row(row)] == [
+        "PASS [4/geo/k[x,y,z]:(x^2)] component(x)",
+        "FAIL [4/geo/k[x,y,z]:(x^2)] sigma_rotate: BadRowData: unknown sigma form rotate",
+    ]
+    # a component that is not a line fails alone; the next one is still checked
+    row = _geometry_row_expecting(component=["line 0", "line x"])
+    assert [c.line() for c in dataset.verify_row(row)] == [
+        "FAIL [4/geo/k[x,y,z]:(x^2)] component(0): BadRowData: "
+        "0 = 0 is not a line in the projective plane",
+        "PASS [4/geo/k[x,y,z]:(x^2)] component(x)",
+        "PASS [4/geo/k[x,y,z]:(x^2)] sigma_identity",
+    ]

@@ -11,7 +11,7 @@ from ncconic.freealg import Ambient, NcPoly
 from ncconic.galgebra import Presentation, build
 from ncconic.linalg import rank
 from ncconic.presfile import parse_poly
-from ncconic.quadratic import QuadraticPresentation, quadratic_dual
+from ncconic.quadratic import quadratic_dual
 from ncconic.scalars import QI, QQ, Scalar
 
 AMB = Ambient(("x", "y", "z"), QQ)
@@ -20,7 +20,7 @@ X, Y, Z = (NcPoly.generator(AMB, i) for i in range(3))
 
 def dual_algebra(rels, D=6, amb=AMB):
     A = Presentation(amb, rels)
-    return build(quadratic_dual(QuadraticPresentation(A)).presentation, D)
+    return build(quadratic_dual(A), D)
 
 
 def test_center_t1_branch():
@@ -154,7 +154,7 @@ def test_j7_dual_z_regular_via_dual_quotient():
 def test_find_normal_b5_needs_i():
     ambi = Ambient(("x", "y", "z"), QI)
     rels = [parse_poly(t, ambi) for t in ["x^2 - y^2", "y*z + z*x", "z*y - x*z", "x^2"]]
-    dual = build(quadratic_dual(QuadraticPresentation(Presentation(ambi, rels))).presentation, 6)
+    dual = build(quadratic_dual(Presentation(ambi, rels)), 6)
     res = find_normal_degree1(dual)
     regular = res.regular()
     assert res.regular_complete

@@ -58,9 +58,13 @@ def test_from_presentation_examples():
     assert C.dim == 4
 
 
-def test_from_presentation_infinite():
-    with pytest.raises(NotFiniteDimensionalWithinBound):
-        from_presentation([X * Y - Y * X, X * X], bound=6)
+def test_from_presentation_infinite(monkeypatch):
+    monkeypatch.setattr("ncconic.findim.FINITE_BOUND", 6)
+    with pytest.raises(NotFiniteDimensionalWithinBound, match="bound 6"):
+        from_presentation([X * Y - Y * X, X * X])
+    monkeypatch.undo()
+    with pytest.raises(NotFiniteDimensionalWithinBound, match="bound 8"):
+        from_presentation([X * Y - Y * X, X * X])
 
 
 def test_is_frobenius():

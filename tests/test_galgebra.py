@@ -3,14 +3,9 @@ import pytest
 from ncconic import dataset, galgebra
 from ncconic.elements import center_degree
 from ncconic.freealg import Ambient, NcPoly
-from ncconic.galgebra import (
-    InconclusiveTruncation,
-    Presentation,
-    build,
-    hilbert_drop,
-    is_regular_normal_sequence,
-    quotient,
-)
+from ncconic.galgebra import Presentation, build, hilbert_drop, quotient
+from ncconic.homog import InconclusiveTruncation, is_regular_normal_sequence
+from ncconic.quadratic import quadratic_dual
 from ncconic.rewrite import TruncationTooSmall
 from ncconic.scalars import QQ, Scalar
 
@@ -27,10 +22,7 @@ def test_build_dims_examples():
     A = build(Presentation(AMB, S_RELS + [X * X]), 4)
     assert A.dims == [1, 3, 5, 7, 9]
     # the dual of the S/(x^2) conic has prefix (1,3,4,4,4)
-    from ncconic.quadratic import QuadraticPresentation, quadratic_dual
-
-    dq = quadratic_dual(QuadraticPresentation(A.presentation))
-    D = build(dq.presentation, 4)
+    D = build(quadratic_dual(A.presentation), 4)
     assert D.dims == [1, 3, 4, 4, 4]
 
 
@@ -167,8 +159,6 @@ def test_inconclusive_truncation():
 
 def test_stable_prefix_detection():
     A = build(Presentation(AMB, S_RELS + [X * X]), 6)
-    from ncconic.quadratic import QuadraticPresentation, quadratic_dual
-
-    D = build(quadratic_dual(QuadraticPresentation(A.presentation)).presentation, 6)
+    D = build(quadratic_dual(A.presentation), 6)
     assert D.stable_from() == (2, 4)
     assert A.stable_from() is None

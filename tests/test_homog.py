@@ -16,7 +16,7 @@ from ncconic.homog import (
 )
 from ncconic.linalg import span_equal
 from ncconic.presfile import parse_poly
-from ncconic.quadratic import QuadraticPresentation, quad_vector, quadratic_dual
+from ncconic.quadratic import quad_vector, quadratic_dual
 from ncconic.scalars import QQ, Scalar
 
 AMB2 = Ambient(("x", "y"), QQ)
@@ -152,7 +152,7 @@ def test_twist_reproduces_a4():
 def test_dehomogenize_algebra_conic_dual():
     amb3 = Ambient(("x", "y", "z"), QQ)
     rels = [parse_poly(t, amb3) for t in ["x*y + y*x", "y*z + z*y", "z*x + x*z", "x^2"]]
-    dual = build(quadratic_dual(QuadraticPresentation(Presentation(amb3, rels))).presentation, 6)
+    dual = build(quadratic_dual(Presentation(amb3, rels)), 6)
     res = find_normal_degree1(dual)
     cert = res.central_regular()[0]
     E = dehomogenize_algebra(dual, cert)

@@ -49,6 +49,9 @@ def test_parse_error_positions():
     with pytest.raises(PresSyntaxError) as e:
         parse("field: Q\ngens: x\nrel: x^2\ngens: y z\n")  # relations in two ambients
     assert e.value.line == 4
+    with pytest.raises(PresSyntaxError) as e:
+        parse("field: Q\ngens: x\nfield: Q(i)\nrel: x^2\n")  # a field apart from its ambient
+    assert e.value.line == 3
 
 
 def test_expect_directives_are_keyed_without_the_prefix():

@@ -7,7 +7,8 @@
   alive.
 - No module in src/, scripts/ or tests/ imports a name it never uses.
 - Within the package only geometry imports sympy, and only inside functions:
-  importing the package does not import sympy.
+  importing the package does not import sympy.  No other import runs inside
+  a function: a package module imports what it uses at its top.
 - Only two places catch every exception: the check guard of the table
   verifier (dataset._guard), which tells a defect from a failed check, and
   the CLI's last resort (cli.main).
@@ -133,6 +134,29 @@ def test_only_geometry_imports_sympy():
                 at_import.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert importers == {"geometry"}, importers
     assert not at_import, f"sympy imported at module import time: {at_import}"
+
+
+def _function_imports(node: ast.AST, in_function: bool = False):
+    """Every import statement under node that runs inside a function."""
+    if in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
+        yield node
+    inside = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    for child in ast.iter_child_nodes(node):
+        yield from _function_imports(child, inside)
+
+
+def test_package_imports_run_at_module_level():
+    # sympy's first-use imports (the rule above) are the one exception
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        sympy = [node for node, _ in _sympy_imports(tree)]
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in _function_imports(tree)
+            if not any(node is s for s in sympy)
+        ]
+    assert not found, f"imports inside functions: {found}"
 
 
 def _broad_handlers(node: ast.AST, where: str):
