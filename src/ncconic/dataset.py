@@ -357,7 +357,8 @@ def _line_parametrization(ell: NcPoly, amb: Ambient) -> list[CommPoly]:
     """Symbolic (s,t) |-> point on the line ell = 0 (two basis points)."""
     spec = amb.spec
     n = amb.n
-    ker = kernel_basis([quad1_vector(ell)], n, spec)
+    linear = all(len(w) == 1 for w in ell.terms)
+    ker = kernel_basis([quad1_vector(ell)], n, spec) if linear else []
     if len(ker) != 2:
         raise BadRowData(f"{ell} = 0 is not a line in the projective plane")
     s = CommPoly.var(2, 0, spec)

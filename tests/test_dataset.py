@@ -222,10 +222,12 @@ def test_bad_geometry_data_fails_its_check_alone():
         "FAIL [4/geo/k[x,y,z]:(x^2)] sigma_rotate: BadRowData: unknown sigma form rotate",
     ]
     # a component that is not a line fails alone; the next one is still checked
-    row = _geometry_row_expecting(component=["line 0", "line x"])
+    row = _geometry_row_expecting(component=["line 0", "line x^2", "line x"])
     assert [c.line() for c in dataset.verify_row(row)] == [
         "FAIL [4/geo/k[x,y,z]:(x^2)] component(0): BadRowData: "
         "0 = 0 is not a line in the projective plane",
+        "FAIL [4/geo/k[x,y,z]:(x^2)] component(x^2): BadRowData: "
+        "x^2 = 0 is not a line in the projective plane",
         "PASS [4/geo/k[x,y,z]:(x^2)] component(x)",
         "PASS [4/geo/k[x,y,z]:(x^2)] sigma_identity",
     ]
