@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .elements import (
     Degree1Search,
     NormalCertificate,
+    UnsupportedDimension,
     find_normal_degree1,
     normalize_check,
     regularity_check,
@@ -66,7 +67,7 @@ def compute_C(
     for the localization fallback.  search, when given, is the degree-1
     search already run on the dual of A."""
     if A.dim(1) != 3:
-        raise ValueError("compute_C needs dim A_1 = 3")
+        raise UnsupportedDimension(f"compute_C needs dim A_1 = 3 (got {A.dim(1)})")
     dual = search.algebra if search is not None else dual_of(A)
     if dual.truncation < 4:
         raise ValueError("dual must be built to degree >= 4")

@@ -7,6 +7,11 @@ raises is a FAIL, or an ERROR when ncconic does not define the exception.
 Families are verified at the sampled parameter values named in the row
 labels; rows whose data cannot be certified over a supported field carry an
 explicit skip or note, never a silent pass.
+
+A table-4 component g = 0 (a line or a conic) is checked by division: g
+divides every 3x3 minor of K.  Its sample points for the sigma check are
+where it meets five fixed section lines, found by geometry.solve_projective;
+a component with no such point over the field fails that check.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .geometry import (
     k_matrix,
     minors_ideal,
     normalize_point,
+    reduce_poly,
     sigma_at,
     solve_projective,
 )
@@ -45,7 +51,7 @@ from .homog import (
     twist_presentation,
 )
 from .cmap import NoCentralCertificate, compute_C, delta, dual_of, nabla
-from .linalg import complete_to_basis, coords_in_basis, kernel_basis, rank, span_equal
+from .linalg import complete_to_basis, coords_in_basis, rank, span_equal
 from .presfile import (
     PresSyntaxError,
     PresentationFile,
@@ -353,72 +359,22 @@ def verify_center_row(row: TableRow) -> list[CheckResult]:
     return results
 
 
-def _line_parametrization(ell: NcPoly, amb: Ambient) -> list[CommPoly]:
-    """Symbolic (s,t) |-> point on the line ell = 0 (two basis points)."""
-    spec = amb.spec
-    n = amb.n
-    linear = all(len(w) == 1 for w in ell.terms)
-    ker = kernel_basis([quad1_vector(ell)], n, spec) if linear else []
-    if len(ker) != 2:
-        raise BadRowData(f"{ell} = 0 is not a line in the projective plane")
-    s = CommPoly.var(2, 0, spec)
-    t = CommPoly.var(2, 1, spec)
-    out = []
-    for k in range(n):
-        out.append(s.scale(ker[0][k]) + t.scale(ker[1][k]))
-    return out
+def _component_form(kind: str, p: NcPoly) -> CommPoly:
+    """The form of a claimed component p = 0 in commuting variables, each word
+    read as its exponent vector; a line has degree 1, a conic degree 2."""
+    g = CommPoly.zero(p.ambient.n, p.ambient.spec)
+    for w, c in p.terms.items():
+        g = g + CommPoly(g.nvars, g.spec, {tuple(w.count(i) for i in range(g.nvars)): c})
+    if not g or any(sum(m) != {"line": 1, "conic": 2}.get(kind) for m in g.terms):
+        raise BadRowData(f"{p} = 0 is not a {kind} in the projective plane")
+    return g
 
 
-def _conic_parametrization(q: NcPoly, amb: Ambient) -> list[CommPoly] | None:
-    """Chord parametrization of a smooth conic through a small rational point."""
-    spec = amb.spec
-    n = amb.n
-    # symmetric bilinear form of the quadratic q
-    Bm = [[zero(spec)] * n for _ in range(n)]
-    for (i, j), c in q.terms.items():
-        half = c / Scalar.of(2, spec)
-        Bm[i][j] = Bm[i][j] + half
-        Bm[j][i] = Bm[j][i] + half
-
-    def bil(u, v):
-        acc = zero(spec)
-        for i in range(n):
-            for j in range(n):
-                acc = acc + u[i] * Bm[i][j] * v[j]
-        return acc
-
-    P = None
-    candidates = []
-    vals = [Scalar.of(v, spec) for v in (0, 1, -1, 2, -2)]
-    if not spec.is_rational:
-        vals += [Scalar.sqrt_part(v, spec) for v in (1, -1)]
-    for a in vals:
-        for b in vals:
-            for c in vals:
-                if a.is_zero() and b.is_zero() and c.is_zero():
-                    continue
-                candidates.append((a, b, c))
-    for cand in candidates:
-        if bil(cand, cand).is_zero():
-            P = list(cand)
-            break
-    if P is None:
-        return None
-    # direction D = s E1 + t E2 with E1, E2 completing P; second intersection:
-    # X = B(D,D) P - 2 B(P,D) D
-    (E1, E2, _), _ = complete_to_basis(P, spec)
-    s = CommPoly.var(2, 0, spec)
-    t = CommPoly.var(2, 1, spec)
-    D = [s.scale(E1[k]) + t.scale(E2[k]) for k in range(n)]
-    BDD = CommPoly.zero(2, spec)
-    BPD = CommPoly.zero(2, spec)
-    for i in range(n):
-        for j in range(n):
-            if not Bm[i][j].is_zero():
-                BDD = BDD + (D[i] * D[j]).scale(Bm[i][j])
-                BPD = BPD + D[j].scale(P[i] * Bm[i][j])
-    two = Scalar.of(2, spec)
-    return [BDD.scale(P[k]) - (BPD * D[k]).scale(two) for k in range(n)]
+def _component_samples(g: CommPoly) -> list[tuple[Scalar, ...]]:
+    """The points over the field where g = 0 meets y = 0, z = 0, y = z, y = 2z or 2y = z."""
+    sections = [(0, 1, 0), (0, 0, 1), (0, 1, -1), (0, 1, -2), (0, 2, -1)]
+    lines = [CommPoly.linear([Scalar.of(c, g.spec) for c in ell], g.spec) for ell in sections]
+    return list(dict.fromkeys(p for ell in lines for p in solve_projective([g, ell]).solutions))
 
 
 def verify_geometry_row(row: TableRow) -> list[CheckResult]:
@@ -428,32 +384,23 @@ def verify_geometry_row(row: TableRow) -> list[CheckResult]:
     M = minors_ideal(k_matrix(row.relations))
     comps = row.expect("component")
     if comps:
-        # positive-dimensional rows: minors vanish on each claimed component
+        # positive-dimensional rows: the form g of each claimed component
+        # divides every minor, so for a squarefree g the minors vanish on g = 0
         for comp in comps:
             kind, _, expr = comp.partition(" ")
             check = f"component({expr})"
-            par = None
+            g = None
             with _guard(row, check, results):
-                g = parse_poly(expr, amb)
-                par = (_line_parametrization if kind == "line" else _conic_parametrization)(g, amb)
-                if par is None:
-                    results.append(_res(row, check, False, "no rational point found"))
-                else:
-                    results.append(_res(row, check, all(m.substitute(par).is_zero() for m in M)))
-            if par is None:
+                g = _component_form(kind, parse_poly(expr, amb))
+                results.append(_res(row, check, all(reduce_poly(m, [g]).is_zero() for m in M)))
+            if g is None:
                 continue
-            # sigma on 5 sample points of the component
+            # sigma on the points where the section lines meet the component
             want_sigma = row.expect1("sigma_line") or "identity"
             with _guard(row, f"sigma_{want_sigma}", results):
-                samples = []
-                for sv, tv in [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]:
-                    pt = tuple(
-                        c.evaluate([Scalar.of(sv, spec), Scalar.of(tv, spec)]) for c in par
-                    )
-                    if any(not c.is_zero() for c in pt):
-                        samples.append(normalize_point(pt))
-                ok_sigma = True
-                detail = ""
+                samples = _component_samples(g)
+                ok_sigma = bool(samples)
+                detail = "" if samples else "no point of the component over the field"
                 for p in samples:
                     q = sigma_at(row.relations, p)
                     if q is None:

@@ -27,7 +27,8 @@ from .scalars import Scalar, one, zero
 
 
 class UnsupportedDimension(Exception):
-    """The degree-1 search handles only algebras with dim A_2 = dim A_3 = 4."""
+    """The degree-1 search, and compute_C, handle only algebras on 3
+    generators with dim A_2 = dim A_3 = 4."""
 
 
 @dataclass
@@ -211,7 +212,7 @@ def find_normal_degree1(A: GradedAlgebra) -> Degree1Search:
     spec = amb.spec
     n = amb.n
     if n != 3:
-        raise ValueError("degree-1 search needs exactly 3 generators")
+        raise UnsupportedDimension(f"degree-1 search needs exactly 3 generators (got {n})")
     if A.truncation < 3:
         raise DegreeExceedsTruncation("truncation must be at least 3")
     dim2 = A.dim(2)

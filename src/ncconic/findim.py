@@ -25,7 +25,7 @@ from .linalg import (
     reduce_by_echelon,
     rref,
 )
-from .rewrite import complete, graded_basis, normal_form
+from .rewrite import UnitIdeal, complete, graded_basis, normal_form
 from .scalars import FieldSpec, Scalar, one, zero
 
 
@@ -155,7 +155,10 @@ def from_presentation(relations: list[NcPoly]) -> FiniteAlgebra:
     spec = amb.spec
     last_err = "no horizon tried"
     for L in range(max(2 * maxdeg, 4), FINITE_BOUND + 1):
-        rs = complete(relations, L, allow_inhomogeneous=True)
+        try:
+            rs = complete(relations, L, allow_inhomogeneous=True)
+        except UnitIdeal:
+            raise NotFiniteDimensionalWithinBound("presentation collapses to the zero ring") from None
         if rs.confluent_up_to < L:
             last_err = f"completion overflowed horizon {L}"
             continue
@@ -181,8 +184,6 @@ def from_presentation(relations: list[NcPoly]) -> FiniteAlgebra:
 
         table = [[red_vec(a, b) for b in basis] for a in basis]
         unit = [zero(spec)] * len(basis)
-        if () not in index:
-            raise NotFiniteDimensionalWithinBound("presentation collapses to the zero ring")
         unit[index[()]] = one(spec)
         labels = [_format_word(amb, w) for w in basis]
         return FiniteAlgebra(spec, labels, table, unit)

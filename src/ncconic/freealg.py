@@ -177,28 +177,20 @@ class NcPoly:
 
     # -- substitution -----------------------------------------------------------
 
-    def substitute(self, images: list["NcPoly"]) -> "NcPoly":
-        """Apply the algebra map x_i -> images[i] (images in any common ambient)."""
-        if len(images) != self.ambient.n:
-            raise ValueError("need one image per generator")
-        target = images[0].ambient if images else self.ambient
-        out = NcPoly.zero(target)
+    def map_linear(self, matrix: list[list[Scalar]]) -> "NcPoly":
+        """Graded substitution x_i -> sum_j matrix[i][j] x_j in the same ambient."""
+        amb = self.ambient
+        images = [
+            NcPoly(amb, {(j,): matrix[i][j] for j in range(amb.n) if not matrix[i][j].is_zero()})
+            for i in range(amb.n)
+        ]
+        out = NcPoly.zero(amb)
         for w, c in self.terms.items():
-            m = NcPoly.scalar(target, 1).scale(c)
+            m = NcPoly.scalar(amb, 1).scale(c)
             for i in w:
                 m = m * images[i]
             out = out + m
         return out
-
-    def map_linear(self, matrix: list[list[Scalar]]) -> "NcPoly":
-        """Graded substitution x_i -> sum_j matrix[i][j] x_j in the same ambient."""
-        amb = self.ambient
-        images = []
-        for i in range(amb.n):
-            images.append(
-                NcPoly(amb, {(j,): matrix[i][j] for j in range(amb.n) if not matrix[i][j].is_zero()})
-            )
-        return self.substitute(images)
 
     # -- printing --------------------------------------------------------------
 

@@ -173,18 +173,6 @@ class CommPoly:
             acc = acc + term
         return acc
 
-    def substitute(self, images: list["CommPoly"]) -> "CommPoly":
-        """Ring map var_i -> images[i] (all images share nvars/spec)."""
-        tgt = images[0]
-        out = CommPoly.zero(tgt.nvars, tgt.spec)
-        for m, c in self.terms.items():
-            term = CommPoly.const(tgt.nvars, c)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = term * images[i]
-            out = out + term
-        return out
-
     def substitute_value(self, i: int, value: Scalar) -> "CommPoly":
         """Plug var_i = value; variable i no longer occurs."""
         t: dict[Monomial, Scalar] = {}

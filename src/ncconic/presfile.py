@@ -142,7 +142,7 @@ class _ExprParser:
         if kind == "ident":
             if val in self.amb.names:
                 p = NcPoly.generator(self.amb, self.amb.index(val))
-                return self._maybe_power(p, gen=True)
+                return self._maybe_power(p)
             if val == "i":
                 if self.amb.spec != QI:
                     raise PresSyntaxError(self.lex.line, col, "'i' only over Q(i)")
@@ -175,7 +175,7 @@ class _ExprParser:
             return p
         raise PresSyntaxError(self.lex.line, col, "a number, generator or '('")
 
-    def _maybe_power(self, p: NcPoly, gen: bool) -> NcPoly:
+    def _maybe_power(self, p: NcPoly) -> NcPoly:
         kind, val, col = self.lex.peek()
         if kind == "op" and val == "^":
             self.lex.next()

@@ -16,6 +16,9 @@ is refused on entry with AmbientMismatch.
 extend adds relations to a finished system: by Bergman's diamond lemma
 only the overlaps involving the new rules are resolved, which is how a graded
 quotient A/(f) reuses the completion of A.
+
+A relation that reduces to a nonzero constant stops completion with
+UnitIdeal: the ideal is the whole algebra, and no rule has the empty lead.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ class TruncationTooSmall(Exception):
 
 class DegreeExceedsTruncation(Exception):
     pass
+
+
+class UnitIdeal(Exception):
+    """A relation reduced to a nonzero constant: the quotient is the zero ring."""
 
 
 @dataclass
@@ -133,6 +140,8 @@ class _Engine:
         f = _reduce(self, f)
         if f.is_zero():
             return
+        if f.degree() == 0:
+            raise UnitIdeal(f"the relations reduce to the constant {f}")
         if f.degree() > self.D:
             self.overflow.append(f)
             return

@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from ncconic import cli, cmap, dataset, elements, findim, geometry, homog, linalg, rewrite
-from ncconic.presfile import PresSyntaxError
+from ncconic.presfile import PresSyntaxError, parse_poly
+from ncconic.scalars import Scalar
 
 EXPECTED_ROWS = {
     "1": 10,
@@ -231,3 +232,80 @@ def test_bad_geometry_data_fails_its_check_alone():
         "PASS [4/geo/k[x,y,z]:(x^2)] component(x)",
         "PASS [4/geo/k[x,y,z]:(x^2)] sigma_identity",
     ]
+    # y = 0 and x*y = 0 are not in the point scheme x = 0: the minors are not
+    # multiples of y, and (1:0:0), where the section lines meet y = 0, has no image
+    for comp, form in (("line y", "y"), ("conic x*y", "x*y")):
+        row = _geometry_row_expecting(component=[comp])
+        assert [c.line() for c in dataset.verify_row(row)] == [
+            f"FAIL [4/geo/k[x,y,z]:(x^2)] component({form})",
+            "FAIL [4/geo/k[x,y,z]:(x^2)] sigma_identity: PointNotOnScheme: no image for (1, 0, 0)",
+        ]
+    # a kind other than line or conic is bad row data
+    row = _geometry_row_expecting(component=["plane x"])
+    assert [c.line() for c in dataset.verify_row(row)] == [
+        "FAIL [4/geo/k[x,y,z]:(x^2)] component(x): BadRowData: "
+        "x = 0 is not a plane in the projective plane",
+    ]
+    # a conic with no point over the field has no sample for the sigma check
+    row = _geometry_row_expecting(component=["conic x^2 + y^2 + z^2"])
+    assert [c.line() for c in dataset.verify_row(row)] == [
+        "FAIL [4/geo/k[x,y,z]:(x^2)] component(x^2 + y^2 + z^2)",
+        "FAIL [4/geo/k[x,y,z]:(x^2)] sigma_identity: no point of the component over the field",
+    ]
+
+
+def _shipped_components():
+    """(row, component form g) for every component claimed in table 4."""
+    out = []
+    for row in dataset.load_rows():
+        for comp in row.expect("component") if row.table == "4" else ():
+            kind, _, expr = comp.partition(" ")
+            out.append((row, dataset._component_form(kind, parse_poly(expr, row.ambient))))
+    return out
+
+
+def test_component_division_matches_sympy():
+    # for one divisor g, the remainder of reduce_poly is zero exactly when g
+    # divides; sympy's rem decides the same over the row's field, on the
+    # shipped components (all divide) and on y and x*y (no minor divides)
+    import sympy
+
+    comps = _shipped_components()
+    assert len(comps) == 6
+    row = comps[0][0]
+    comps += [(row, dataset._component_form(k, parse_poly(e, row.ambient))) for k, e in (("line", "y"), ("conic", "x*y"))]
+    gens = sympy.symbols("x y z")
+    verdicts = []
+    for row, g in comps:
+        K = geometry._domain(row.spec)[0]
+
+        def sym(p):
+            return sympy.Poly.from_dict({m: geometry.to_domain(c) for m, c in p.terms.items()}, *gens, domain=K)
+
+        divides = [geometry.reduce_poly(m, [g]).is_zero() for m in geometry.minors_ideal(geometry.k_matrix(row.relations))]
+        oracle = [sympy.rem(sym(m), sym(g)).is_zero for m in geometry.minors_ideal(geometry.k_matrix(row.relations))]
+        assert divides == oracle, (row.label, g)
+        verdicts.append(all(divides))
+    assert verdicts == [True] * 6 + [False, False]
+
+
+def test_component_samples_lie_on_their_component():
+    for row, g in _shipped_components():
+        minors = geometry.minors_ideal(geometry.k_matrix(row.relations))
+        samples = dataset._component_samples(g)
+        assert samples, (row.label, g)
+        assert all(h.evaluate(list(p)).is_zero() for p in samples for h in [g, *minors]), (row.label, g)
+
+    row, g = _shipped_components()[0]
+    assert (row.label, repr(g)) == ("geo/k[x,y,z]:(x^2)", "v0")
+
+    def point(*cs):
+        return geometry.normalize_point(tuple(Scalar.of(c, row.spec) for c in cs))
+
+    want = {point(0, 1, 0), point(0, 0, 1), point(0, 1, 1), point(0, 1, 2), point(0, 2, 1)}
+    assert set(dataset._component_samples(g)) == want
+    # the conic x^2 + y^2 + z^2 over Q(i): (1:i:0), (1:-i:0), (1:0:i), (1:0:-i)
+    row, g = next(c for c in _shipped_components() if c[0].label == "geo/k[x,y,z]:(x^2+y^2+z^2)")
+    i = Scalar.sqrt_part(1, row.spec)
+    o, z = Scalar.of(1, row.spec), Scalar.of(0, row.spec)
+    assert set(dataset._component_samples(g)) == {(o, i, z), (o, -i, z), (o, z, i), (o, z, -i)}

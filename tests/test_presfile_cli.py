@@ -202,6 +202,22 @@ def test_cli_exit_codes(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "field: Q\ngens: x\nrel: x\nrel: x^2 - 1\n",
+        "field: Q\ngens: y z\nrel: 2*y\nrel: y^2 - 1\nrel: 2*z\nrel: z*y + y*z\nrel: z^2 - 1\n",
+    ],
+)
+def test_cli_classify_refuses_the_zero_ring(text, tmp_path, capsys):
+    # the relations reduce to the constant -1: no algebra is classified
+    p = tmp_path / "zero.alg"
+    p.write_text(text)
+    assert run_cli(["classify", str(p)]) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "error: NotFiniteDimensionalWithinBound: presentation collapses to the zero ring\n"
+
+
 def test_env_default_truncation(f1_file, monkeypatch):
     monkeypatch.setenv("NCCONIC_MAX_DEG", "5")
     code, out = run_cli(["hilbert", f1_file])
@@ -247,6 +263,7 @@ def test_cli_pointscheme_three_relations(tmp_path):
         "env not an integer",
         "normal1 on 2 generators",
         "delta on 2 generators",
+        "cmap on 2 generators",
         "nabla without elems",
         "pointscheme on 2 generators",
         "pointscheme on 4 generators",
@@ -272,6 +289,10 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
         "delta on 2 generators": (
             ["delta", str(tmp_path / "plane.alg")],
             "usage error: delta needs exactly 3 generators (got 2)",
+        ),
+        "cmap on 2 generators": (
+            ["cmap", str(tmp_path / "plane.alg")],
+            "usage error: compute_C needs dim A_1 = 3 (got 2)",
         ),
         "nabla without elems": (["nabla", str(tmp_path / "plane.alg")], "usage error: nabla needs"),
         "pointscheme on 2 generators": (
@@ -324,7 +345,7 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
         ),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")
-    (tmp_path / "plane.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\n")
+    (tmp_path / "plane.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\nrel: x^2\n")
     (tmp_path / "four.alg").write_text(
         "field: Q\ngens: w x y z\nrel: x*y - y*x\nrel: y*z - z*y\nrel: z*x - x*z\nrel: w^2\n"
     )

@@ -8,6 +8,7 @@ from ncconic.freealg import Ambient, AmbientMismatch, MonomialOrder, NcPoly
 from ncconic.rewrite import (
     DegreeExceedsTruncation,
     TruncationTooSmall,
+    UnitIdeal,
     complete,
     graded_basis,
     normal_form,
@@ -66,6 +67,13 @@ def test_truncation_errors():
     rs = t1_system(D=3)
     with pytest.raises(DegreeExceedsTruncation):
         graded_basis(rs, 4)
+
+
+def test_a_relation_reducing_to_a_constant_stops_completion():
+    # x reduces x^2 - 1 to -1: the ideal is the whole algebra, and no rule
+    # may have the empty lead
+    with pytest.raises(UnitIdeal, match="constant -1"):
+        complete([X, X * X - NcPoly.one(AMB)], 4, allow_inhomogeneous=True)
 
 
 def test_negative_degree_has_no_words():
