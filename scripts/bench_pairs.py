@@ -6,9 +6,12 @@
 PARENT_OUT and CHANGE_OUT are the ``.perfbench_out/`` directories of two
 checkouts that ran ``perfbench/run.py`` with the same workloads, seeds and
 ``--seconds``.  Runs are paired by workload and seed; a seed run on one side
-only is left out.  A pair whose sides ran the same source (equal
-``source_digest``) or different ``--seconds`` is an error: it compares
-nothing, or runs of different lengths.  For each workload, untraced
+only is left out of the pairs, listed under ``one_side_only`` and named on
+stderr.  A side whose result files carry more than one ``source_digest`` is
+an error: ``run.py`` writes its result only at the end, so a crashed run
+leaves an older result under the same name.  A pair whose sides ran the same
+source (equal ``source_digest``) or different ``--seconds`` is an error: it
+compares nothing, or runs of different lengths.  For each workload, untraced
 (``--trace 0``) pairs give, for every end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles and the number of pairs
 the change won (ties count for neither).
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -96,6 +100,13 @@ def summarise(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
                     if pc.get(k) != cc.get(k)
                 },
             }
+    for workload in sorted({w for w, _, _ in set(parent) | set(change)}):
+        alone = {
+            name: [f"seed{s}/trace{t}" for w, s, t in sorted(set(runs) - set(other)) if w == workload]
+            for name, runs, other in (("parent", parent, change), ("change", change, parent))
+        }
+        if alone["parent"] or alone["change"]:
+            out.setdefault("one_side_only", {})[workload] = alone
     if pairs:
         rec = change[pairs[0]]["record"]
         out["environment"] = {k: rec.get(k) for k in ("python", "sympy", "nproc", "seconds")}
@@ -103,6 +114,17 @@ def summarise(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             rec = runs[pairs[0]]["record"]
             out["environment"][name] = {k: rec.get(k) for k in ("commit", "source_digest")}
     return out
+
+
+def mixed_sources(name: str, runs: dict) -> list[str]:
+    """A side whose runs did not all run one source: its runs by source."""
+    by_digest: dict = {}
+    for (w, s, t), data in sorted(runs.items()):
+        by_digest.setdefault(data["record"].get("source_digest"), []).append(f"{w}/seed{s}/trace{t}")
+    if len(by_digest) < 2:
+        return []
+    sources = "; ".join(f"{d} ({', '.join(keys)})" for d, keys in sorted(by_digest.items()))
+    return [f"{name} side ran more than one source: {sources}"]
 
 
 def mismatched_pairs(parent: dict, change: dict) -> list[str]:
@@ -130,9 +152,14 @@ def main(argv=None) -> int:
     summary = summarise(parent, change, end_to_end)
     if "environment" not in summary:
         ap.error("no workload and seed was run on both sides")
-    bad = mismatched_pairs(parent, change)
+    bad = mixed_sources("parent", parent) + mixed_sources("change", change)
+    bad += mismatched_pairs(parent, change)
     if bad:
-        ap.error("unmatched pairs:\n  " + "\n  ".join(bad))
+        ap.error("runs that cannot be paired:\n  " + "\n  ".join(bad))
+    for workload, alone in summary.get("one_side_only", {}).items():
+        for name, keys in alone.items():
+            if keys:
+                print(f"{workload}: on the {name} side only: {', '.join(keys)}", file=sys.stderr)
     args.out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -3,8 +3,10 @@
 Subcommands operate on presentation files (see presfile).  Conventions:
 rel: lines give the graded relations (for conic commands the LAST rel is the
 extra conic relation, the others present the ambient quantum plane); elem:
-lines carry sequence entries or designated elements.  Exit codes: 0 success,
-1 check failure, 2 usage or parse error.
+lines carry sequence entries or designated elements.  Exit codes: 2 when the
+command refuses its input, which is a UsageError (parse errors included); 1
+for a failed check or a mathematical outcome (verify: any FAIL or ERROR
+line); 0 otherwise.
 """
 
 from __future__ import annotations
@@ -16,17 +18,15 @@ import sys
 
 from . import dataset
 from .elements import (
-    UnsupportedDimension,
     center_degree,
     find_normal_degree1,
     normalize_check,
     regularity_check,
 )
 from .findim import FiniteAlgebra, classify, from_presentation, is_frobenius
-from .freealg import NcPoly, _format_word
+from .freealg import NcPoly, UsageError, _format_word
 from .galgebra import GradedAlgebra, Presentation, build
 from .geometry import (
-    NotQuadratic,
     check_quadratic,
     k_matrix,
     minors_ideal,
@@ -48,14 +48,9 @@ from .presfile import (
     print_presentation,
 )
 from .quadratic import quadratic_dual
-from .rewrite import DegreeExceedsTruncation
 
 
 class CheckFailure(Exception):
-    pass
-
-
-class UsageError(Exception):
     pass
 
 
@@ -75,18 +70,18 @@ _degree = functools.partial(_at_least, 0, "degree")  # --deg
 
 
 def _load(path: str) -> PresentationFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
-def _load_quadratic(path: str, cmd: str) -> PresentationFile:
-    """A presentation file whose relations are all homogeneous quadratic;
-    anything else is a UsageError for cmd."""
-    pf = _load(path)
     try:
-        check_quadratic(pf.relations)
-    except NotQuadratic as e:
-        raise UsageError(f"{cmd} needs quadratic relations: {e}") from None
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as e:
+        raise UsageError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
+    return parse(text)
+
+
+def _load_quadratic(path: str) -> PresentationFile:
+    """A presentation file whose relations are all homogeneous quadratic."""
+    pf = _load(path)
+    check_quadratic(pf.relations)
     return pf
 
 
@@ -124,7 +119,7 @@ def cmd_basis(args, out) -> int:
 
 
 def cmd_dual(args, out) -> int:
-    pf = _load_quadratic(args.file, "dual")
+    pf = _load_quadratic(args.file)
     d = quadratic_dual(Presentation(pf.ambient, pf.relations, pf.label))
     out.write(print_presentation(PresentationFile(pf.spec, pf.ambient, d.relations)))
     return 0
@@ -141,7 +136,7 @@ def cmd_center(args, out) -> int:
 
 
 def cmd_normal1(args, out) -> int:
-    pf = _load_quadratic(args.file, "normal1")
+    pf = _load_quadratic(args.file)
     if pf.ambient.n != 3:
         raise UsageError(f"normal1 needs exactly 3 generators (got {pf.ambient.n})")
     res = find_normal_degree1(_build(pf, args.max_deg))
@@ -178,7 +173,7 @@ def cmd_dehomogenize(args, out) -> int:
 
 
 def cmd_cmap(args, out) -> int:
-    pf = _load_quadratic(args.file, "cmap")
+    pf = _load_quadratic(args.file)
     A = _build(pf, args.max_deg)
     S, f = _split(pf)
     res = compute_C(A, split=(S, f))
@@ -190,7 +185,7 @@ def cmd_cmap(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     pf = _load(args.file)
-    A = from_presentation(pf.relations)
+    A = from_presentation(pf.ambient, pf.relations)
     out.write(f"dim {A.dim}\n")
     out.write(f"frobenius: {'yes' if is_frobenius(A) else 'no'}\n")
     out.write(f"class: {classify(A)}\n")
@@ -223,7 +218,7 @@ def cmd_delta(args, out) -> int:
 
 
 def cmd_pointscheme(args, out) -> int:
-    pf = _load_quadratic(args.file, "pointscheme")
+    pf = _load_quadratic(args.file)
     if pf.ambient.n != 3:
         raise UsageError(f"pointscheme needs exactly 3 generators (got {pf.ambient.n})")
     if len(pf.relations) < 3:
@@ -303,11 +298,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except PresSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (UsageError, UnsupportedDimension, DegreeExceedsTruncation, dataset.NoMatchingRows) as e:
+    except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 2
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)

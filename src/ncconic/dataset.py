@@ -31,7 +31,7 @@ from .elements import (
     regularity_check,
 )
 from .findim import classify, from_presentation, is_frobenius
-from .freealg import Ambient, NcPoly
+from .freealg import Ambient, NcPoly, UsageError
 from .galgebra import Presentation, build
 from .geometry import (
     CommPoly,
@@ -64,7 +64,7 @@ from .quadratic import koszul_series_check, quad1_vector, quad_vector
 from .scalars import Scalar, zero
 
 
-class NoMatchingRows(Exception):
+class NoMatchingRows(UsageError):
     pass
 
 
@@ -492,7 +492,7 @@ def verify_pencil_row(row: TableRow) -> list[CheckResult]:
              verdict.strongly_regular_normal == want_strong,
              f"got {verdict.strongly_regular_normal}")
     )
-    E = from_presentation(row.relations + row.elems)
+    E = from_presentation(amb, row.relations + row.elems)
     want_dim = int(row.expect1("dim") or 4)
     results.append(_res(row, "model_dim", E.dim == want_dim, f"dim {E.dim}"))
     if not want_strong:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .freealg import NcPoly
+from .freealg import NcPoly, UsageError
 from .galgebra import GradedAlgebra, hilbert_drop
 from .geometry import CommPoly, SolveResult, pool_minors, projective_charts, reduce_poly
 from .linalg import complete_to_basis, kernel_basis, rank, rref, solve_linear
@@ -26,7 +26,7 @@ from .rewrite import DegreeExceedsTruncation
 from .scalars import Scalar, one, zero
 
 
-class UnsupportedDimension(Exception):
+class UnsupportedDimension(UsageError):
     """The degree-1 search, and compute_C, handle only algebras on 3
     generators with dim A_2 = dim A_3 = 4."""
 
@@ -70,7 +70,7 @@ def normalize_check(A: GradedAlgebra, w: NcPoly) -> NormalCertificate | None:
     """Certificate that w is normal (None when not).  nu solves
     x_i w = w sum_j nu[i][j] x_j; central elements get nu = identity."""
     if w.is_zero() or not w.is_homogeneous():
-        raise ValueError("w must be homogeneous and nonzero")
+        raise UsageError("w must be homogeneous and nonzero")
     d = w.degree()
     if d + 1 > A.truncation:
         raise DegreeExceedsTruncation(f"need degree {d + 1} <= {A.truncation}")
@@ -79,7 +79,7 @@ def normalize_check(A: GradedAlgebra, w: NcPoly) -> NormalCertificate | None:
     n = amb.n
     wn = A.nf(w)
     if wn.is_zero():
-        raise ValueError("w is zero in the algebra")
+        raise UsageError("w is zero in the algebra")
     gens = [NcPoly.generator(amb, i) for i in range(n)]
     right = [A.coords(wn * g, d + 1) for g in gens]  # w x_j
     left = [A.coords(g * wn, d + 1) for g in gens]  # x_i w

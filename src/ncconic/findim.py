@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import NcPoly, Word, _format_word
+from .freealg import Ambient, NcPoly, UsageError, Word, _format_word
 from .geometry import CommPoly, pool_minors, univariate_roots
 from .linalg import (
     Rows,
@@ -140,23 +140,20 @@ class FiniteAlgebra:
 FINITE_BOUND = 8  # the longest completion horizon from_presentation tries
 
 
-def from_presentation(relations: list[NcPoly]) -> FiniteAlgebra:
-    """Finite-dimensional quotient of a free algebra at desk scale: complete
+def from_presentation(amb: Ambient, relations: list[NcPoly]) -> FiniteAlgebra:
+    """Finite-dimensional quotient of the free algebra on amb at desk scale: complete
     the relations to a rewrite system with subword reduction (overlap closure
     bounded by the word-length horizon), read off the reduced words, and take
     structure constants by normal form.  The reduced-word set must fit in the
     lower half of the horizon so that products of basis words reduce inside
     the verified range; associativity and the unit laws are then checked
     exactly."""
-    if not relations:
-        raise ValueError("need at least one relation")
-    amb = relations[0].ambient
-    maxdeg = max(r.degree() for r in relations)
+    maxdeg = max((r.degree() for r in relations), default=0)
     spec = amb.spec
     last_err = "no horizon tried"
     for L in range(max(2 * maxdeg, 4), FINITE_BOUND + 1):
         try:
-            rs = complete(relations, L, allow_inhomogeneous=True)
+            rs = complete(amb, relations, L)
         except UnitIdeal:
             raise NotFiniteDimensionalWithinBound("presentation collapses to the zero ring") from None
         if rs.confluent_up_to < L:
@@ -206,7 +203,7 @@ def is_frobenius(A: FiniteAlgebra) -> bool:
 def _frobenius_form(A: FiniteAlgebra) -> bool:
     N = A.dim
     if N > 8:
-        raise ValueError("is_frobenius implemented for dim <= 8")
+        raise UsageError(f"is_frobenius implemented for dim <= 8 (got {N})")
     spec = A.spec
     # entries G[a][b] = sum_c table[a][b][c] * phi_c, linear CommPolys in phi
     entries = [[CommPoly.linear(A.table[a][b], spec) for b in range(N)] for a in range(N)]

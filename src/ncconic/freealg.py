@@ -7,11 +7,17 @@ and iterated in descending monomial order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .scalars import FieldSpec, Scalar, one
 
 Word = tuple[int, ...]
+
+
+class UsageError(Exception):
+    """A command refuses its input; the CLI exits 2 on this class and its
+    subclasses, and on nothing else."""
 
 
 class AmbientMismatch(Exception):
@@ -37,7 +43,12 @@ class Ambient:
     def without(self, idx: int) -> "Ambient":
         return Ambient(self.names[:idx] + self.names[idx + 1 :], self.spec)
 
-    def with_extra(self, name: str) -> "Ambient":
+    def with_extra(self, name: str | None = None) -> "Ambient":
+        """One more generator, appended last; by default the first of z, z1,
+        z2, ... that is not a generator already."""
+        if name is None:
+            fresh = ("z" + (str(k) if k else "") for k in itertools.count())
+            name = next(n for n in fresh if n not in self.names)
         if name in self.names:
             raise ValueError(f"generator {name} already present")
         return Ambient(self.names + (name,), self.spec)
@@ -258,9 +269,9 @@ def dehomogenize_poly(f: NcPoly, z: int) -> NcPoly:
     return NcPoly(small, out)
 
 
-def homogenize_poly(f: NcPoly, zname: str = "z") -> NcPoly:
+def homogenize_poly(f: NcPoly, zname: str | None = None) -> NcPoly:
     """Right-multiply each term of degree i by z^(d-i), d = deg f; the new
-    generator is appended last."""
+    generator is appended last (named as by Ambient.with_extra)."""
     if f.is_zero():
         raise ZeroInput("cannot homogenize 0")
     amb = f.ambient.with_extra(zname)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .freealg import Ambient, MonomialOrder, NcPoly, Word
+from .freealg import Ambient, MonomialOrder, NcPoly, UsageError, Word
 from .linalg import Vector
 from .rewrite import RewriteSystem, complete, extend, graded_basis, normal_form
 from .scalars import zero
@@ -31,7 +31,7 @@ class Presentation:
             if r.is_zero():
                 continue
             if not r.is_homogeneous():
-                raise ValueError(f"relation {r} is not homogeneous")
+                raise UsageError(f"relation {r} is not homogeneous")
             if r not in cleaned:
                 cleaned.append(r)
         self.relations = cleaned
@@ -106,7 +106,7 @@ def _algebra(p: Presentation, rs: RewriteSystem) -> GradedAlgebra:
 def build(p: Presentation, D: int, order: MonomialOrder | None = None) -> GradedAlgebra:
     if D < 2:
         raise ValueError("truncation must be at least 2")
-    return _algebra(p, complete(p.relations, D, order))
+    return _algebra(p, complete(p.ambient, p.relations, D, order))
 
 
 def quotient(A: GradedAlgebra, fs: NcPoly | list[NcPoly]) -> GradedAlgebra:

@@ -44,7 +44,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import NcPoly, format_term
+from .freealg import NcPoly, UsageError, format_term
 from .linalg import kernel_basis, krylov_min_poly
 from .scalars import FieldMismatch, FieldSpec, Scalar, one, zero
 
@@ -55,7 +55,7 @@ class BoundExceeded(Exception):
     pass
 
 
-class NotQuadratic(Exception):
+class NotQuadratic(UsageError):
     pass
 
 

@@ -4,7 +4,8 @@ A RelationSequence stores the chosen free-algebra representatives; all the
 operators here act on those stored representatives, which pins down the
 (choice-dependent) homogenized algebra per dataset row.  The homogenizing
 generator is appended last and is the largest in the monomial order, so the
-added commutator rules push it to the right of every reduced word.  The
+added commutator rules push it to the right of every reduced word; it is
+named z, or the first of z1, z2, ... that is not a generator already.  The
 regular-normal-sequence test (galgebra.hilbert_drop, element by element)
 lives here with its strong form on S[z], its only caller.
 """
@@ -18,6 +19,7 @@ from .findim import FiniteAlgebra
 from .freealg import (
     Ambient,
     NcPoly,
+    UsageError,
     _format_word,
     dehomogenize_poly,
     homogenize_poly,
@@ -53,12 +55,9 @@ class RelationSequence:
     def __post_init__(self):
         for f in self.elems:
             if f.is_zero():
-                raise ValueError("zero entries are not allowed in a sequence")
+                raise UsageError("zero entries are not allowed in a sequence")
             if f.ambient != self.ambient:
                 raise ValueError("sequence element in a different ambient")
-
-    def degrees(self) -> list[int]:
-        return [f.degree() for f in self.elems]
 
 
 def embed(p: NcPoly, big: Ambient) -> NcPoly:
@@ -72,7 +71,7 @@ def wild_homogenize_seq(F: RelationSequence) -> RelationSequence:
     return RelationSequence(F.ambient, [wild_homogenize_poly(f) for f in F.elems])
 
 
-def homogenize_seq(F: RelationSequence, zname: str = "z") -> RelationSequence:
+def homogenize_seq(F: RelationSequence, zname: str | None = None) -> RelationSequence:
     big = F.ambient.with_extra(zname)
     out = []
     for f in F.elems:
@@ -81,10 +80,11 @@ def homogenize_seq(F: RelationSequence, zname: str = "z") -> RelationSequence:
     return RelationSequence(big, out)
 
 
-def adjoined_polynomial_presentation(S: Presentation, zname: str = "z") -> Presentation:
+def adjoined_polynomial_presentation(S: Presentation, zname: str | None = None) -> Presentation:
     """S[z]: the same relations plus commutators [x_i, z]."""
     big = S.ambient.with_extra(zname)
     zi = big.n - 1
+    zname = big.names[zi]
     z = NcPoly.generator(big, zi)
     comms = []
     for i in range(S.ambient.n):
@@ -94,11 +94,14 @@ def adjoined_polynomial_presentation(S: Presentation, zname: str = "z") -> Prese
     return Presentation(big, rels, f"{S.label}[{zname}]" if S.label else "")
 
 
-def homogenize_presentation(S: Presentation, F: RelationSequence, zname: str = "z") -> Presentation:
+def homogenize_presentation(
+    S: Presentation, F: RelationSequence, zname: str | None = None
+) -> Presentation:
     """H^z(S, F) = S[z]/I_{F^z}, computed on the stored representatives."""
     if F.ambient != S.ambient:
         raise ValueError("sequence does not live in the presentation's ambient")
     base = adjoined_polynomial_presentation(S, zname)
+    zname = base.ambient.names[-1]
     Fz = homogenize_seq(F, zname)
     label = f"H^{zname}({S.label})" if S.label else ""
     return Presentation(base.ambient, base.relations + Fz.elems, label)
@@ -175,7 +178,7 @@ def is_strongly_regular_normal(S: GradedAlgebra, F: RelationSequence) -> StrongV
     """(a) the top-form sequence F-top is regular normal on S;
     (b) (F^z, z) is regular normal on S[z] (the homogenized route)."""
     if any(f.degree() != 2 for f in F.elems):
-        raise ValueError("strong regularity is checked for degree-2 sequences")
+        raise UsageError("strong regularity is checked for degree-2 sequences")
     tops = wild_homogenize_seq(F)
     vee = is_regular_normal_sequence(S, tops.elems)
     base = adjoined_polynomial_presentation(S.presentation)

@@ -20,11 +20,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .freealg import Ambient, NcPoly
+from .freealg import Ambient, NcPoly, UsageError
 from .scalars import FieldSpec, QI, QQ, Scalar, _squarefree_core
 
 
-class PresSyntaxError(Exception):
+class PresSyntaxError(UsageError):
     def __init__(self, line: int, col: int, expected: str):
         self.line = line
         self.col = col

@@ -19,6 +19,9 @@ quotient A/(f) reuses the completion of A.
 
 A relation that reduces to a nonzero constant stops completion with
 UnitIdeal: the ideal is the whole algebra, and no rule has the empty lead.
+A relation of degree above the truncation D is set aside as overflow; a
+homogeneous one does not touch degrees up to D, so the system stays exact
+there.  No relations at all give the free algebra: no rules.
 """
 
 from __future__ import annotations
@@ -26,15 +29,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .freealg import Ambient, AmbientMismatch, MonomialOrder, NcPoly, Word
+from .freealg import Ambient, AmbientMismatch, MonomialOrder, NcPoly, UsageError, Word
 from .scalars import Scalar, boundary
 
 
-class TruncationTooSmall(Exception):
-    pass
-
-
-class DegreeExceedsTruncation(Exception):
+class DegreeExceedsTruncation(UsageError):
     pass
 
 
@@ -190,19 +189,14 @@ def _overlaps(u: Word, v: Word):
             yield u[: len(u) - ls], s, v[ls:]
 
 
-def _system(eng: _Engine, rels: list[NcPoly], allow_inhomogeneous: bool) -> RewriteSystem:
+def _system(eng: _Engine, rels: list[NcPoly]) -> RewriteSystem:
     """Add the nonzero rels to eng by degree, then leading word, resolve every
     queued overlap and assemble the system."""
     D, order = eng.D, eng.order
-    maxdeg = 0
+    rels = [r for r in rels if not r.is_zero()]
     for r in rels:
-        if not allow_inhomogeneous and not r.is_homogeneous():
-            raise ValueError(f"relation {r} is not homogeneous")
         if r.degree() < 1:
-            raise ValueError("degree-0 relation")
-        maxdeg = max(maxdeg, r.degree())
-    if D < maxdeg:
-        raise TruncationTooSmall(f"D={D} below max relation degree {maxdeg}")
+            raise UsageError(f"relation {r} has degree 0")
     for r in sorted(rels, key=lambda p: (p.degree(), order.key(p.leading(order)[0]))):
         eng.add(r)
     eng.run()
@@ -211,23 +205,21 @@ def _system(eng: _Engine, rels: list[NcPoly], allow_inhomogeneous: bool) -> Rewr
 
 
 def complete(
+    ambient: Ambient,
     relations: list[NcPoly],
     D: int,
     order: MonomialOrder | None = None,
-    allow_inhomogeneous: bool = False,
 ) -> RewriteSystem:
-    """Inter-reduced rewrite system with all overlaps of degree <= D resolved.
+    """Inter-reduced rewrite system of the relations in ambient, with all
+    overlaps of degree <= D resolved.
 
-    Graded presentations are the primary clients; inhomogeneous input is
-    accepted only for the finite-dimensional closure in findim, where the
+    Graded presentations (galgebra.Presentation, which refuses relations
+    that are not homogeneous) are the primary clients; inhomogeneous input
+    comes only from the finite-dimensional closure in findim, where the
     resulting basis is cross-validated against the degree horizon."""
-    rels = [r for r in relations if not r.is_zero()]
-    if not rels:
-        raise ValueError("need at least one nonzero relation")
-    ambient = rels[0].ambient
     if order is None:
         order = MonomialOrder.default(ambient.n)
-    return _system(_Engine(ambient, order, D), rels, allow_inhomogeneous)
+    return _system(_Engine(ambient, order, D), relations)
 
 
 def extend(rs: RewriteSystem, extra: list[NcPoly]) -> RewriteSystem:
@@ -244,7 +236,7 @@ def extend(rs: RewriteSystem, extra: list[NcPoly]) -> RewriteSystem:
     eng.rules = dict(rs.rules)
     eng.leads_by_len = {n: set(leads) for n, leads in rs.leads_by_len.items()}
     eng.overflow = list(rs.overflow)
-    return _system(eng, [r for r in extra if not r.is_zero()], False)
+    return _system(eng, extra)
 
 
 def normal_form(rs: RewriteSystem, f: NcPoly) -> NcPoly:

@@ -73,7 +73,7 @@ def test_criterion_2_table3_centers(full_report):
     # the worked Type T1 example: basis (6.1) and the four sub-branch answers
     amb = Ambient(("x", "y", "z"), QQ)
     x, y, z = (NcPoly.generator(amb, i) for i in range(3))
-    rs = complete([x * y - y * x, x * z - z * x + y * x, y * z - z * y + x * y], 6)
+    rs = complete(amb, [x * y - y * x, x * z - z * x + y * x, y * z - z * y + x * y], 6)
     words = ["".join("xyz"[i] for i in w) for w in graded_basis(rs, 3)]
     assert words == ["xxx", "xxy", "xxz", "xyy", "xyz", "xzz", "yyy", "yyz", "yzz", "zzz"]
     branch_rows = [r for r in rep.results if r.table == "3" and r.row.startswith("T1(")]
@@ -178,7 +178,7 @@ def test_criterion_9_property_suites(full_report):
     one2 = NcPoly.one(amb)
     f = x * x - y + one2
     assert dehomogenize_poly(homogenize_poly(f, "z"), 2) == f
-    rs = complete([x * y + y * x, x * x], 6, allow_inhomogeneous=False)
+    rs = complete(amb, [x * y + y * x, x * x], 6)
     g = y * x * y + x * y
     nf = normal_form(rs, g)
     assert normal_form(rs, nf) == nf
@@ -202,7 +202,7 @@ def test_criterion_9_property_suites(full_report):
 
     rng = random.Random(97)
     for texts in (("x*y - y*x", "x^2 - 1", "y^2 - 1"), ("x*y - 2 y*x", "x^2", "y^2")):
-        A = from_presentation([parse_poly(t, amb) for t in texts])
+        A = from_presentation(amb, [parse_poly(t, amb) for t in texts])
         want = classify(A)
         for _ in range(20):
             assert classify(_random_basis_change(A, rng)) == want

@@ -94,7 +94,9 @@ def test_bench_pairs_rejects_a_pair_of_the_same_source(tmp_path):
     proc = _run(parent, change, tmp_path / "B.json")
     assert proc.returncode == 2
     assert "deep_truncation/seed2/trace0: both sides ran source dp" in proc.stderr
-    assert "seed1" not in proc.stderr
+    assert "seed1/trace0: both sides" not in proc.stderr
+    # and the change side itself ran two sources
+    assert "change side ran more than one source: dc (deep_truncation/seed1/trace0)" in proc.stderr
     assert not (tmp_path / "B.json").exists()
 
 
@@ -106,4 +108,42 @@ def test_bench_pairs_rejects_a_pair_of_different_lengths(tmp_path):
     proc = _run(parent, change, tmp_path / "B.json")
     assert proc.returncode == 2
     assert "cli_generic/seed3/trace0: --seconds 30.0 against 10.0" in proc.stderr
+    assert not (tmp_path / "B.json").exists()
+
+
+def test_bench_pairs_lists_seeds_run_on_one_side_only(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 5):
+        _write_result(parent, "cli_generic", seed, 0, 154, _e2e(36.0, 14.0, 60.0), commit="p")
+    for seed in (1, 2, 3):
+        _write_result(change, "cli_generic", seed, 0, 154, _e2e(37.0, 14.0, 60.0), commit="c")
+    _write_result(change, "cli_generic", 1, 1, 154, {"linalg.rref.self_s": 0.4}, {}, commit="c")
+    _write_result(change, "deep_truncation", 4, 0, 134, _e2e(20.0, 20.0, 59.0), commit="c")
+    out = tmp_path / "B.json"
+    proc = _run(parent, change, out)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(out.read_text())
+    assert bench["workloads"]["cli_generic"]["seeds"] == [1, 2]
+    assert bench["one_side_only"] == {
+        "cli_generic": {"parent": ["seed5/trace0"], "change": ["seed1/trace1", "seed3/trace0"]},
+        "deep_truncation": {"parent": [], "change": ["seed4/trace0"]},
+    }
+    assert "cli_generic: on the parent side only: seed5/trace0" in proc.stderr
+    assert "deep_truncation: on the change side only: seed4/trace0" in proc.stderr
+
+
+def test_bench_pairs_rejects_a_side_of_more_than_one_source(tmp_path):
+    # a crashed run leaves an older result of another source under its name
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        _write_result(parent, "verify_tables", seed, 0, 394, _e2e(10.0, 20.0, 61.0), commit="p")
+    _write_result(change, "verify_tables", 1, 0, 591, _e2e(14.0, 15.0, 62.0), commit="c")
+    _write_result(change, "verify_tables", 2, 0, 591, _e2e(14.0, 15.0, 62.0), commit="old")
+    proc = _run(parent, change, tmp_path / "B.json")
+    assert proc.returncode == 2
+    assert (
+        "change side ran more than one source: dc (verify_tables/seed1/trace0); "
+        "dold (verify_tables/seed2/trace0)"
+    ) in proc.stderr
+    assert "parent side" not in proc.stderr
     assert not (tmp_path / "B.json").exists()

@@ -82,7 +82,7 @@ def test_delta_a2_model():
     # matches the affine model k<x,y>/(xy + yx, x^2 - 1, y^2 - 1)
     amb2 = Ambient(("x", "y"), QQ)
     model = from_presentation(
-        [parse_poly(t, amb2) for t in ["x*y + y*x", "x^2 - 1", "y^2 - 1"]]
+        amb2, [parse_poly(t, amb2) for t in ["x*y + y*x", "x^2 - 1", "y^2 - 1"]]
     )
     assert classify(model) == classify(d.algebra)
 
@@ -105,7 +105,7 @@ def test_nabla_delta_roundtrip_classes():
     for srel, fs in cases:
         S = build(Presentation(amb2, srel), 6)
         F = RelationSequence(amb2, fs)
-        E = from_presentation(srel + fs)
+        E = from_presentation(amb2, srel + fs)
         want = classify(E)
         con = nabla(S, F)
         assert con.dims[:5] == [1, 3, 5, 7, 9]

@@ -29,7 +29,7 @@ ONE = NcPoly.one(AMB)
 
 
 def model(*texts, amb=AMB):
-    return from_presentation([parse_poly(t, amb) for t in texts])
+    return from_presentation(amb, [parse_poly(t, amb) for t in texts])
 
 
 REFERENCE = [
@@ -53,7 +53,7 @@ def test_from_presentation_examples():
     assert E.labels == ["1", "x", "y", "x*y"]
     amb1 = Ambient(("x",), QQ)
     t = NcPoly.generator(amb1, 0)
-    assert from_presentation([t * t]).dim == 2
+    assert from_presentation(amb1, [t * t]).dim == 2
     C = model("x*y + y*x", "x^2 + y*x", "y^2")
     assert C.dim == 4
 
@@ -61,10 +61,10 @@ def test_from_presentation_examples():
 def test_from_presentation_infinite(monkeypatch):
     monkeypatch.setattr("ncconic.findim.FINITE_BOUND", 6)
     with pytest.raises(NotFiniteDimensionalWithinBound, match="bound 6"):
-        from_presentation([X * Y - Y * X, X * X])
+        from_presentation(AMB, [X * Y - Y * X, X * X])
     monkeypatch.undo()
     with pytest.raises(NotFiniteDimensionalWithinBound, match="bound 8"):
-        from_presentation([X * Y - Y * X, X * X])
+        from_presentation(AMB, [X * Y - Y * X, X * X])
 
 
 def test_is_frobenius():
@@ -80,7 +80,7 @@ def test_is_frobenius():
 def test_invariants_examples():
     amb1 = Ambient(("u",), QQ)
     u = NcPoly.generator(amb1, 0)
-    U4 = from_presentation([u * u * u * u])
+    U4 = from_presentation(amb1, [u * u * u * u])
     inv = invariants(U4)
     assert inv.commutative and inv.radical_dims == (3, 2, 1)
     M2 = model("x*y + y*x", "x^2 + 1", "y^2 + 1", amb=Ambient(("x", "y"), QI))
@@ -123,7 +123,7 @@ def test_classify_reference_presentations():
     for lam in (2, 3, Fraction(-1, 2)):
         amb = Ambient(("x", "y"), QQ)
         x, y = NcPoly.generator(amb, 0), NcPoly.generator(amb, 1)
-        E = from_presentation([x * y - (y * x).scale(Scalar.of(lam, QQ)), x * x, y * y])
+        E = from_presentation(amb, [x * y - (y * x).scale(Scalar.of(lam, QQ)), x * x, y * y])
         got = classify(E)
         assert got.label == "E-class"
         pair = {(c.a, c.b) for c in got.lam}
@@ -250,7 +250,7 @@ def test_signature_unmatched_is_loud():
     amb1 = Ambient(("u",), QQ)
     u = NcPoly.generator(amb1, 0)
     two = NcPoly.scalar(amb1, 2)
-    F = from_presentation([u * u * u * u - two])
+    F = from_presentation(amb1, [u * u * u * u - two])
     assert classify(F).label == "K4"
     # splitting mismatch must be loud: blocks [1,2] split cannot be U2xK2 ->
     # build k x Q(sqrt2) as structure constants directly over Q(sqrt 2):
@@ -259,7 +259,7 @@ def test_signature_unmatched_is_loud():
     amb2 = Ambient(("x", "y"), QQ)
     x, y = NcPoly.generator(amb2, 0), NcPoly.generator(amb2, 1)
     with pytest.raises(Exception):
-        classify(from_presentation([x * y - y * x, x * x, y * y, x * y]))  # dim 3
+        classify(from_presentation(amb2, [x * y - y * x, x * x, y * y, x * y]))  # dim 3
 
 
 # -- independent oracles for is_frobenius and _split_idempotents ------------------

@@ -6,7 +6,6 @@ from ncconic.freealg import Ambient, NcPoly
 from ncconic.galgebra import Presentation, build, hilbert_drop, quotient
 from ncconic.homog import InconclusiveTruncation, is_regular_normal_sequence
 from ncconic.quadratic import quadratic_dual
-from ncconic.rewrite import TruncationTooSmall
 from ncconic.scalars import QQ, Scalar
 
 AMB = Ambient(("x", "y", "z"), QQ)
@@ -77,10 +76,10 @@ def test_quotient_rejects_zero():
         quotient(A, NcPoly.zero(AMB))
 
 
-def test_quotient_rejects_degree_above_truncation():
+def test_quotient_by_a_relation_above_truncation_keeps_dims():
+    # a homogeneous relation of degree 4 does not touch degrees up to D = 3
     A = build(Presentation(AMB, S_RELS), 3)
-    with pytest.raises(TruncationTooSmall):
-        quotient(A, X * X * Y * Y)
+    assert quotient(A, X * X * Y * Y).dims == A.dims
 
 
 # -- quotients extend A's rules: the same system as a completion from scratch ---

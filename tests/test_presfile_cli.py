@@ -277,6 +277,10 @@ def test_cli_pointscheme_three_relations(tmp_path):
         "basis with a negative degree",
         "center with a negative degree",
         "normal1 with max-deg 2",
+        "delta with a cubic relation",
+        "hilbert with a relation that is not homogeneous",
+        "dehomogenize at a zero element",
+        "nabla on a degree-3 sequence",
     ],
 )
 def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
@@ -309,19 +313,19 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
         ),
         "pointscheme with a cubic relation": (
             ["pointscheme", str(tmp_path / "cubic.alg")],
-            "usage error: pointscheme needs quadratic relations: relation x^3 is not purely quadratic",
+            "usage error: relation x^3 is not purely quadratic",
         ),
         "dual with a cubic relation": (
             ["dual", str(tmp_path / "cubic.alg")],
-            "usage error: dual needs quadratic relations: relation x^3 is not purely quadratic",
+            "usage error: relation x^3 is not purely quadratic",
         ),
         "cmap with a cubic relation": (
             ["cmap", str(tmp_path / "cubic.alg")],
-            "usage error: cmap needs quadratic relations: relation x^3 is not purely quadratic",
+            "usage error: relation x^3 is not purely quadratic",
         ),
         "normal1 with a cubic relation": (
             ["normal1", str(tmp_path / "cubic.alg")],
-            "usage error: normal1 needs quadratic relations: relation x^3 is not purely quadratic",
+            "usage error: relation x^3 is not purely quadratic",
         ),
         "normal1 with dim A_2 = 7": (
             ["normal1", str(tmp_path / "two.alg")],
@@ -343,6 +347,22 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
             ["normal1", f1_file, "--max-deg", "2"],
             "usage error: truncation must be at least 3",
         ),
+        "delta with a cubic relation": (
+            ["delta", str(tmp_path / "cubic.alg")],
+            "usage error: relation x^3 is not purely quadratic",
+        ),
+        "hilbert with a relation that is not homogeneous": (
+            ["hilbert", str(tmp_path / "mixed.alg")],
+            "usage error: relation x^2 - y is not homogeneous",
+        ),
+        "dehomogenize at a zero element": (
+            ["dehomogenize", str(tmp_path / "line.alg"), "--elem", "x"],
+            "usage error: w is zero in the algebra",
+        ),
+        "nabla on a degree-3 sequence": (
+            ["nabla", str(tmp_path / "cubic_pencil.alg")],
+            "usage error: strong regularity is checked for degree-2 sequences",
+        ),
     }[case]
     (tmp_path / "sqrt4.alg").write_text("field: Q(sqrt 4)\ngens: x y\nrel: x*y - y*x\n")
     (tmp_path / "plane.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\nrel: x^2\n")
@@ -353,6 +373,11 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
     (tmp_path / "cubic.alg").write_text(
         "field: Q\ngens: x y z\nrel: x*y - y*x\nrel: y*z - z*y\nrel: x^3\n"
     )
+    (tmp_path / "mixed.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\nrel: x^2 - y\n")
+    (tmp_path / "line.alg").write_text("field: Q\ngens: x y\nrel: x*y - y*x\nrel: x\n")
+    (tmp_path / "cubic_pencil.alg").write_text(
+        "field: Q\ngens: x y\nrel: x*y - y*x\nelem: x^3 - 1\nelem: y^2 - 1\n"
+    )
     if case == "env not an integer":
         monkeypatch.setenv("NCCONIC_MAX_DEG", "abc")
     code, out = run_cli(args)
@@ -360,3 +385,43 @@ def test_cli_usage_errors_exit_2(case, f1_file, tmp_path, monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err.startswith(prefix), err
     assert len(err.splitlines()) == 1, err
+
+
+CUBIC_TEXT = "field: Q\ngens: x y\nrel: x^2*y - y*x^2\nrel: x*y^2 - y^2*x\n"
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        # relations above the truncation do not touch the degrees below it
+        (["hilbert", "--max-deg", "2"], "1,2,4\n"),
+        (["basis", "--deg", "2"], "x^2\nx*y\ny*x\ny^2\n"),
+        (["center", "--deg", "1"], "0\n"),
+    ],
+)
+def test_cli_answers_below_the_relation_degree(args, want, tmp_path):
+    p = tmp_path / "cubic.alg"
+    p.write_text(CUBIC_TEXT)
+    assert run_cli([args[0], str(p)] + args[1:]) == (0, want)
+
+
+def test_cli_free_algebra(tmp_path, capsys):
+    # no rel: line presents the free algebra, dim A_d = n^d
+    p = tmp_path / "free.alg"
+    p.write_text("field: Q\ngens: x y z\n")
+    assert run_cli(["hilbert", str(p)]) == (0, "1,3,9,27,81,243,729\n")
+    assert run_cli(["classify", str(p)]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: NotFiniteDimensionalWithinBound: ")
+
+
+@pytest.mark.parametrize("cmd", ["homogenize", "nabla"])
+@pytest.mark.parametrize(
+    "gens, fresh", [("x y", "z"), ("y z", "z1"), ("z z1", "z2")]
+)
+def test_cli_homogenizing_generator_gets_a_fresh_name(cmd, gens, fresh, tmp_path):
+    a, b = gens.split()
+    p = tmp_path / "pencil.alg"
+    p.write_text(f"field: Q\ngens: {gens}\nrel: {a}*{b} - {b}*{a}\nelem: {a}^2 - 1\nelem: {b}^2 - 1\n")
+    code, out = run_cli([cmd, str(p)])
+    assert code == 0
+    assert f"gens: {gens} {fresh}" in out.splitlines()

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ncconic.freealg import Ambient, AmbientMismatch, MonomialOrder, NcPoly
 from ncconic.rewrite import (
     DegreeExceedsTruncation,
-    TruncationTooSmall,
     UnitIdeal,
     complete,
     graded_basis,
@@ -28,7 +27,7 @@ def t1_system(alpha=0, beta=0, gamma=1, D=6):
     f1 = X * Y - Y * X
     f2 = X * Z - Z * X - (X * X).scale(b) + (Y * X).scale(b + g)
     f3 = Y * Z - Z * Y - (Y * Y).scale(a) + (X * Y).scale(a + g)
-    return complete([f1, f2, f3], D)
+    return complete(AMB, [f1, f2, f3], D)
 
 
 def test_t1_is_already_groebner():
@@ -51,19 +50,26 @@ def test_t1_quantum_polynomial_dims():
 def test_single_monomial_relation():
     amb = Ambient(("x", "y"), QQ)
     x, y = NcPoly.generator(amb, 0), NcPoly.generator(amb, 1)
-    rs = complete([x * y], 4)
+    rs = complete(amb, [x * y], 4)
     assert list(rs.rules) == [(0, 1)]
     assert rs.rules[(0, 1)].is_zero()
 
 
 def test_n_algebra_degree3_count():
-    rs = complete([Y * Z + Z * Y + X * X, Z * X + X * Z + Y * Y, X * Y + Y * X], 4)
+    rs = complete(AMB, [Y * Z + Z * Y + X * X, Z * X + X * Z + Y * Y, X * Y + Y * X], 4)
     assert len(graded_basis(rs, 3)) == 10
 
 
 def test_truncation_errors():
-    with pytest.raises(TruncationTooSmall):
-        complete([X * Y + Y * X], 1)
+    # relations above the truncation leave the degrees up to it alone: the
+    # cubic algebra x^2 y = y x^2, x y^2 = y^2 x at D = 2 has its D = 3 prefix
+    amb = Ambient(("x", "y"), QQ)
+    x, y = NcPoly.generator(amb, 0), NcPoly.generator(amb, 1)
+    cubic = [x * x * y - y * x * x, x * y * y - y * y * x]
+    low, high = complete(amb, cubic, 2), complete(amb, cubic, 3)
+    assert low.confluent_up_to == 2
+    assert [len(graded_basis(low, d)) for d in range(3)] == [1, 2, 4]
+    assert [len(graded_basis(high, d)) for d in range(3)] == [1, 2, 4]
     rs = t1_system(D=3)
     with pytest.raises(DegreeExceedsTruncation):
         graded_basis(rs, 4)
@@ -73,7 +79,7 @@ def test_a_relation_reducing_to_a_constant_stops_completion():
     # x reduces x^2 - 1 to -1: the ideal is the whole algebra, and no rule
     # may have the empty lead
     with pytest.raises(UnitIdeal, match="constant -1"):
-        complete([X, X * X - NcPoly.one(AMB)], 4, allow_inhomogeneous=True)
+        complete(AMB, [X, X * X - NcPoly.one(AMB)], 4)
 
 
 def test_negative_degree_has_no_words():
@@ -98,7 +104,7 @@ def test_normal_form_rejects_a_foreign_ambient():
     with pytest.raises(AmbientMismatch):
         normal_form(rs, ixy)
     amb2 = Ambient(("x", "y"), QQ)
-    rs2 = complete([NcPoly.monomial(amb2, (1, 0)) - NcPoly.monomial(amb2, (0, 1))], 4)
+    rs2 = complete(amb2, [NcPoly.monomial(amb2, (1, 0)) - NcPoly.monomial(amb2, (0, 1))], 4)
     with pytest.raises(AmbientMismatch):
         normal_form(rs2, X * Z)
 
@@ -129,7 +135,7 @@ def test_dims_order_independent():
     rels = [Y * Z + Z * Y + X * X, Z * X + X * Z + Y * Y, X * Y + Y * X]
     base = None
     for perm in itertools.permutations(range(3)):
-        rs = complete(rels, 5, MonomialOrder(tuple(perm)))
+        rs = complete(AMB, rels, 5, MonomialOrder(tuple(perm)))
         dims = [len(graded_basis(rs, d)) for d in range(6)]
         if base is None:
             base = dims
@@ -171,7 +177,7 @@ def oracle_system(name):
         amb2 = Ambient(("x", "y"), QQ)
         x, y = NcPoly.generator(amb2, 0), NcPoly.generator(amb2, 1)
         one = NcPoly.scalar(amb2, 1)
-        return complete([x * y - y * x, x * x - y - one, y * y - one], 6, allow_inhomogeneous=True)
+        return complete(amb2, [x * y - y * x, x * x - y - one, y * y - one], 6)
     spec = {"generic_Q": QQ, "generic_Qi": QI, "generic_Q2": FieldSpec(2)}[name]
     amb = Ambient(("x", "y", "z"), spec)
     x, y, z = (NcPoly.generator(amb, i) for i in range(3))
@@ -181,7 +187,7 @@ def oracle_system(name):
     else:
         o, s, n = Scalar.of(1, spec), Scalar.sqrt_part(1, spec), zero(spec)
         m = [[o, s, n], [n, o, s], [s, n, o + o]]
-    return complete([r.map_linear(m) for r in sk], 4)
+    return complete(amb, [r.map_linear(m) for r in sk], 4)
 
 
 @pytest.mark.parametrize("name", ["generic_Q", "generic_Qi", "generic_Q2", "inhomogeneous"])
