@@ -409,7 +409,7 @@ def test_cli_free_algebra(tmp_path, capsys):
     # no rel: line presents the free algebra, dim A_d = n^d
     p = tmp_path / "free.alg"
     p.write_text("field: Q\ngens: x y z\n")
-    assert run_cli(["hilbert", str(p)]) == (0, "1,3,9,27,81,243,729\n")
+    assert run_cli(["hilbert", str(p), "--max-deg", "6"]) == (0, "1,3,9,27,81,243,729\n")
     assert run_cli(["classify", str(p)]) == (1, "")
     assert capsys.readouterr().err.startswith("error: NotFiniteDimensionalWithinBound: ")
 
